@@ -270,23 +270,16 @@ def test_featurization_compiled(workload):
     of the pure forward, and cached predictions must be bitwise equal to
     uncached ones (a hit returns exactly the rows a miss would compute).
     """
-    from repro.core.batching import bucket_plans
-
     model, plans = workload
     cached = InferenceSession(model)
     uncached = InferenceSession(model, feature_cache_size=None)
 
-    # Pure fused forward: pre-bucket and pre-featurize ONCE, time only
-    # the LevelPlan pass.  Measured FIRST — the featurized matrices are
-    # views of pooled stacking buffers that the predict_batch calls
-    # below overwrite.
-    ordered = bucket_plans(plans)
-    level_plan = model.compile_level_plan([b.graph for b in ordered])
-    features = [uncached._featurize_bucket(b.graph.signature, b) for b in ordered]
-    counts = [len(b.indices) for b in ordered]
-    forward_s = _best_of(
-        lambda: level_plan.forward_inference(features, counts), repeats=5
-    )
+    # Pure fused forward: pre-bucket, compile and pre-featurize ONCE,
+    # time only the LevelPlan pass.  Measured FIRST — the featurized
+    # matrices are pooled buffers that the predict_batch calls below
+    # overwrite.
+    _, level_plan, features = uncached._prepare(plans)
+    forward_s = _best_of(lambda: level_plan.forward_inference(features), repeats=5)
 
     reference = uncached.predict_batch(plans)  # warms the uncached path
     cached.predict_batch(plans)  # cold pass: fills the feature cache
@@ -605,8 +598,6 @@ def workload_f32(workload):
 def test_float32_batched_inference(workload_f32):
     """float32 vs float64 whole-batch serving: fused-forward speedup
     (gated), end-to-end speedup (recorded) and prediction agreement."""
-    from repro.core.batching import bucket_plans
-
     model64, model32, plans = workload_f32
     session64, session32 = InferenceSession(model64), InferenceSession(model32)
     reference = session64.predict_batch(plans)  # also warms f64
@@ -621,13 +612,8 @@ def test_float32_batched_inference(workload_f32):
     # the component float32 actually accelerates (featurization is
     # dtype-independent Python and dominates end to end).
     def forward_timer(model, session):
-        ordered = bucket_plans(plans)
-        level_plan = model.compile_level_plan([b.graph for b in ordered])
-        features = [
-            session._featurize_bucket(b.graph.signature, b) for b in ordered
-        ]
-        counts = [len(b.indices) for b in ordered]
-        return lambda: level_plan.forward_inference(features, counts)
+        _, level_plan, features = session._prepare(plans)
+        return lambda: level_plan.forward_inference(features)
 
     fwd_64_s = _best_of(forward_timer(model64, session64), repeats=5)
     fwd_32_s = _best_of(forward_timer(model32, session32), repeats=5)

@@ -13,6 +13,7 @@ from .checkpoint import (
 )
 from .batching import (
     BufferPool,
+    CorpusBatch,
     PlanBucket,
     PlanGraph,
     bucket_plans,
@@ -27,8 +28,8 @@ from .batching import (
 )
 from .compile import CompiledSchedule, ScheduleCache, ScheduleStep
 from .config import COMPUTE_DTYPES, TRAINING_ENGINES, TRAINING_MODES, QPPNetConfig
-from .levels import LevelPlan, LevelPlanCache, LevelRun, LevelStep
-from .model import MIN_PREDICTION_MS, QPPNet
+from .levels import GraphLevels, LevelPlan, LevelPlanCache, LevelRun, LevelStep
+from .model import MIN_PREDICTION_MS, NonFiniteOutput, QPPNet
 from .trainer import Trainer, TrainingHistory, fine_tune, train_qppnet
 from .unit import NeuralUnit
 
@@ -40,6 +41,7 @@ __all__ = [
     "NeuralUnit",
     "QPPNet",
     "MIN_PREDICTION_MS",
+    "NonFiniteOutput",
     "Trainer",
     "TrainingHistory",
     "train_qppnet",
@@ -67,9 +69,11 @@ __all__ = [
     "sample_batches",
     "BufferPool",
     "PreGroupedCorpus",
+    "CorpusBatch",
     "CompiledSchedule",
     "ScheduleCache",
     "ScheduleStep",
+    "GraphLevels",
     "LevelPlan",
     "LevelPlanCache",
     "LevelRun",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from repro.featurize.featurizer import Featurizer
 from repro.plans.node import PlanNode
 from repro.plans.operators import LogicalType
 from repro.workload.generator import PlanSample
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .levels import LevelPlan
 
 
 @dataclass(frozen=True)
@@ -146,17 +149,17 @@ def bucket_plans(plans: Sequence[PlanNode]) -> list[PlanBucket]:
 
     The returned buckets are in canonical sorted-by-signature order — the
     same order :func:`group_by_structure` and :class:`PreGroupedCorpus`
-    produce — so serving and training resolve to the *same* cached
-    cross-structure level plan for the same structure mix, no matter how
-    the requests arrived.  Within a bucket, members keep arrival order.
+    produce — so serving and training lay the same structure mix out in
+    the *same* level-plan row order, no matter how the requests arrived.
+    Within a bucket, members keep arrival order.
     """
     buckets: dict[str, PlanBucket] = {}
     for index, plan in enumerate(plans):
         signature = plan.structure_signature()
         bucket = buckets.get(signature)
         if bucket is None:
-            # The full graph (and the shared level plan) is derived from
-            # the bucket's first plan only; structure-equal plans reuse it.
+            # The full graph is derived from the bucket's first plan
+            # only; structure-equal plans reuse it.
             bucket = buckets[signature] = PlanBucket(plan_graph(plan), [], [])
         bucket.indices.append(index)
         bucket.nodes.append(list(plan.preorder()))
@@ -280,26 +283,32 @@ def _gather_rows(
 
 
 class PreGroupedCorpus:
-    """Epoch-level pre-grouping of a fixed training corpus.
+    """Epoch-level pre-grouping of a fixed training corpus, stored type-major.
 
     ``group_by_structure`` re-buckets the batch and re-stacks Python lists
     of per-plan rows on *every* batch, even though group membership never
     changes across a training run.  This grouping is done once here: the
-    corpus is partitioned by structure signature up front and each group's
-    feature/label matrices are pre-stacked at full corpus size.  A random
-    batch is then materialized by **row-gather** — one fancy-index numpy
-    op per ``(group, position)`` into pooled buffers — instead of
-    hundreds of per-row copies.
+    corpus is partitioned by structure signature up front and every
+    feature row lands in **one matrix per logical type**
+    (:attr:`features`) — group by group in canonical signature order,
+    position by position in preorder, plan by plan.  Each group's
+    per-position matrices are contiguous views into those, and its
+    ``(B, n_nodes)`` label matrix is a view into one flat label vector
+    (:attr:`labels`) laid out the same way.
+
+    A random batch (:meth:`iter_batches`) is a :class:`CorpusBatch` —
+    which plans, grouped by structure — and
+    :meth:`CorpusBatch.take` materializes it in a level plan's step order
+    with one ``take`` per unit type plus one for the labels.
 
     Sampling stays unbiased exactly as §5.1.1 requires: batches are
     uniform random subsets of the whole corpus (a fresh permutation per
-    epoch), and grouping happens *within* each batch.  Only the mechanics
-    of building the per-batch :class:`StructureGroup`\\ s changed.
+    epoch), and grouping happens *within* each batch.
 
-    ``dtype`` is the precision the stacked matrices are stored in.
-    Casting once at construction means every per-batch row-gather — and
-    everything downstream of it: assembly, matmuls, loss — runs in the
-    compute dtype with no per-batch conversion.
+    ``dtype`` is the precision the matrices are stored in.  Casting once
+    at construction means every per-batch ``take`` — and everything
+    downstream of it: assembly, matmuls, loss — runs in the compute
+    dtype with no per-batch conversion.
     """
 
     def __init__(
@@ -307,32 +316,66 @@ class PreGroupedCorpus:
     ) -> None:
         if not plans:
             raise ValueError("PreGroupedCorpus requires at least one plan")
-        dtype = np.dtype(dtype)
-        self.dtype = dtype
         buckets: dict[str, list[int]] = {}
         for i, plan in enumerate(plans):
             buckets.setdefault(plan.graph.signature, []).append(i)
-        self.n_plans = len(plans)
+        members = [buckets[signature] for signature in sorted(buckets)]
+        self._store(group_by_structure(plans), members, dtype)
+
+    def _store(
+        self,
+        groups: Sequence[StructureGroup],
+        members: Sequence[Sequence[int]],
+        dtype: np.dtype,
+    ) -> None:
+        """Store stacked groups type-major and re-point them at views.
+
+        ``members[g]`` are group ``g``'s global plan indices, in row
+        order.  Features and labels are cast to ``dtype`` once, here.
+        """
+        blocks: dict[LogicalType, list[np.ndarray]] = {}
+        for group in groups:
+            for ltype, matrix in zip(group.graph.types, group.features):
+                blocks.setdefault(ltype, []).append(matrix)
+        self.features: dict[LogicalType, np.ndarray] = {
+            ltype: np.concatenate(parts).astype(dtype, copy=False)
+            for ltype, parts in blocks.items()
+        }
+        # Labels flatten position-major per group, like the features.
+        self.labels = np.concatenate(
+            [np.asarray(group.labels).T.reshape(-1) for group in groups]
+        ).astype(dtype, copy=False)
+        self.dtype = self.labels.dtype
+        self.n_plans = sum(len(group) for group in members)
         self.groups: list[StructureGroup] = []
         # Global plan index -> (group id, row inside the group's matrices).
         self._group_of = np.empty(self.n_plans, dtype=np.intp)
         self._row_of = np.empty(self.n_plans, dtype=np.intp)
-        for gid, signature in enumerate(sorted(buckets)):
-            members = buckets[signature]
-            graph = plans[members[0]].graph
-            features = [
-                np.stack([plans[i].features[p] for i in members]).astype(
-                    dtype, copy=False
-                )
-                for p in range(graph.n_nodes)
-            ]
-            labels = np.stack([plans[i].labels for i in members]).astype(
-                dtype, copy=False
-            )
-            for row, i in enumerate(members):
-                self._group_of[i] = gid
-                self._row_of[i] = row
+        # Per node (group-major, preorder): its first feature row in its
+        # type's matrix and its first entry in the label vector.
+        feature_rows: list[int] = []
+        label_rows: list[np.ndarray] = []
+        self._node_offset = np.zeros(len(groups), dtype=np.intp)
+        next_row = dict.fromkeys(self.features, 0)
+        label_at = 0
+        for gid, (source, group) in enumerate(zip(groups, members)):
+            graph, n = source.graph, len(group)
+            self._node_offset[gid] = len(feature_rows)
+            features = []
+            for ltype in graph.types:
+                row = next_row[ltype]
+                features.append(self.features[ltype][row : row + n])
+                feature_rows.append(row)
+                next_row[ltype] = row + n
+            size = n * graph.n_nodes
+            label_rows.append(label_at + n * np.arange(graph.n_nodes))
+            labels = self.labels[label_at : label_at + size].reshape(graph.n_nodes, n).T
+            label_at += size
+            self._group_of[group] = gid
+            self._row_of[group] = np.arange(n)
             self.groups.append(StructureGroup(graph, features, labels))
+        self._node_feature_row = np.asarray(feature_rows, dtype=np.intp)
+        self._node_label_row = np.concatenate(label_rows)
 
     @classmethod
     def from_samples(
@@ -350,33 +393,27 @@ class PreGroupedCorpus:
         :class:`~repro.featurize.compiled.FeatureProgram` runs — one
         vectorized pass per (structure, logical type) over the whole
         group instead of a per-node schema walk per plan.  Programs run
-        in float64 and the stacked blocks are cast once at the end,
+        in float64 and the type matrices are cast once at the end,
         matching the reference path's featurize-then-cast order exactly.
         """
         if not samples:
             raise ValueError("PreGroupedCorpus requires at least one plan")
-        dtype = np.dtype(dtype)
         programs = featurizer.compiled()
         scale = featurizer.latency_scale_ms
         node_lists = [list(s.plan.preorder()) for s in samples]
         buckets: dict[str, list[int]] = {}
         for i, sample in enumerate(samples):
             buckets.setdefault(sample.plan.structure_signature(), []).append(i)
-        self = cls.__new__(cls)
-        self.dtype = dtype
-        self.n_plans = len(samples)
-        self.groups = []
-        self._group_of = np.empty(self.n_plans, dtype=np.intp)
-        self._row_of = np.empty(self.n_plans, dtype=np.intp)
-        for gid, signature in enumerate(sorted(buckets)):
-            members = buckets[signature]
-            graph = plan_graph(samples[members[0]].plan)
-            n = len(members)
+        members = [buckets[signature] for signature in sorted(buckets)]
+        groups = []
+        for group in members:
+            graph = plan_graph(samples[group[0]].plan)
+            n = len(group)
             features: list[np.ndarray] = [np.empty(0)] * graph.n_nodes
             for program, positions in programs.layout(graph):
                 block = program.run(
-                    [node_lists[i][pos] for pos in positions for i in members]
-                ).astype(dtype, copy=False)
+                    [node_lists[i][pos] for pos in positions for i in group]
+                )
                 for k, pos in enumerate(positions):
                     features[pos] = block[k * n : (k + 1) * n]
             labels = np.array(
@@ -390,18 +427,31 @@ class PreGroupedCorpus:
                         / scale
                         for node in node_lists[i]
                     ]
-                    for i in members
+                    for i in group
                 ]
-            ).astype(dtype, copy=False)
-            for row, i in enumerate(members):
-                self._group_of[i] = gid
-                self._row_of[i] = row
-            self.groups.append(StructureGroup(graph, features, labels))
+            )
+            groups.append(StructureGroup(graph, features, labels))
+        self = cls.__new__(cls)
+        self._store(groups, members, np.dtype(dtype))
         return self
 
     @property
     def n_structures(self) -> int:
         return len(self.groups)
+
+    def batch(
+        self, indices: np.ndarray, pool: Optional[BufferPool] = None
+    ) -> "CorpusBatch":
+        """The plans at global ``indices``, grouped by structure.
+
+        Same group order and same row order within each group as
+        ``group_by_structure([plans[i] for i in indices])``.
+        """
+        indices = np.asarray(indices, dtype=np.intp)
+        gsel = self._group_of[indices]
+        order = np.argsort(gsel, kind="stable")
+        group_ids, counts = np.unique(gsel, return_counts=True)
+        return CorpusBatch(self, group_ids, counts, self._row_of[indices[order]], pool)
 
     def gather(
         self, indices: np.ndarray, pool: Optional[BufferPool] = None
@@ -409,23 +459,9 @@ class PreGroupedCorpus:
         """The batch of global plan ``indices`` as per-structure groups.
 
         Equivalent to ``group_by_structure([plans[i] for i in indices])``
-        (same group order, same row order within each group), built by
-        row-gather from the pre-stacked matrices.
+        (same group order, same row order within each group).
         """
-        indices = np.asarray(indices, dtype=np.intp)
-        gsel = self._group_of[indices]
-        out = []
-        for gid in np.unique(gsel):
-            rows = self._row_of[indices[gsel == gid]]
-            src = self.groups[gid]
-            signature = src.graph.signature
-            features = [
-                _gather_rows(src.features[p], rows, pool, (signature, p))
-                for p in range(src.graph.n_nodes)
-            ]
-            labels = _gather_rows(src.labels, rows, pool, (signature, "labels"))
-            out.append(StructureGroup(src.graph, features, labels))
-        return out
+        return self.batch(indices, pool).groups()
 
     def iter_batches(
         self,
@@ -433,12 +469,84 @@ class PreGroupedCorpus:
         rng: np.random.Generator,
         pool: Optional[BufferPool] = None,
     ):
-        """Random batches covering the corpus once (cf. :func:`sample_batches`)."""
+        """Random :class:`CorpusBatch`\\ es covering the corpus once
+        (cf. :func:`sample_batches`); ``pool`` backs their ``take``."""
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         order = rng.permutation(self.n_plans)
         for start in range(0, self.n_plans, batch_size):
-            yield self.gather(order[start : start + batch_size], pool=pool)
+            yield self.batch(order[start : start + batch_size], pool)
+
+
+@dataclass
+class CorpusBatch:
+    """One batch of a :class:`PreGroupedCorpus`: which plans, by structure.
+
+    ``group_ids`` are the corpus groups present, in canonical order;
+    ``counts`` their plans in the batch; ``rows`` each plan's row within
+    its corpus group — group by group, draw order within a group.
+    """
+
+    corpus: PreGroupedCorpus
+    group_ids: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    pool: Optional[BufferPool] = None
+
+    @classmethod
+    def of_groups(
+        cls, groups: Sequence[StructureGroup], dtype: np.dtype
+    ) -> "CorpusBatch":
+        """Already-stacked groups (e.g. from :func:`group_by_structure`)
+        as one whole batch, cast to the compute ``dtype``."""
+        corpus = PreGroupedCorpus.__new__(PreGroupedCorpus)
+        bounds = np.cumsum([0] + [group.n_plans for group in groups])
+        corpus._store(groups, [range(a, b) for a, b in zip(bounds, bounds[1:])], dtype)
+        return corpus.batch(np.arange(corpus.n_plans))
+
+    @property
+    def graphs(self) -> list[PlanGraph]:
+        return [self.corpus.groups[g].graph for g in self.group_ids]
+
+    @property
+    def n_plans(self) -> int:
+        return len(self.rows)
+
+    def take(self, plan: "LevelPlan") -> tuple[dict[LogicalType, np.ndarray], np.ndarray]:
+        """The batch in ``plan``'s layout: per-type feature matrices in
+        step order and the labels in output-row order — one ``take`` per
+        unit type plus one for the labels.  ``plan`` must be compiled
+        for :attr:`graphs` and :attr:`counts`."""
+        corpus = self.corpus
+        node = corpus._node_offset[self.group_ids][plan.row_graph] + plan.row_pos
+        row = self.rows[plan.row_member]
+        features = {
+            ltype: _gather_rows(
+                corpus.features[ltype], rows, self.pool, ("features", ltype)
+            )
+            for ltype, rows in plan.by_type(corpus._node_feature_row[node] + row).items()
+        }
+        label_rows = corpus._node_label_row[node] + row
+        if self.pool is None:
+            labels = corpus.labels[label_rows]
+        else:
+            labels = self.pool.take("labels", (len(label_rows), 1), dtype=corpus.dtype)[:, 0]
+            np.take(corpus.labels, label_rows, out=labels)
+        return features, labels
+
+    def groups(self) -> list[StructureGroup]:
+        """The batch as per-structure groups (per-position row gathers)."""
+        out = []
+        for gid, rows in zip(self.group_ids, np.split(self.rows, np.cumsum(self.counts)[:-1])):
+            src = self.corpus.groups[gid]
+            signature = src.graph.signature
+            features = [
+                _gather_rows(matrix, rows, self.pool, (signature, p))
+                for p, matrix in enumerate(src.features)
+            ]
+            labels = _gather_rows(src.labels, rows, self.pool, (signature, "labels"))
+            out.append(StructureGroup(src.graph, features, labels))
+        return out
 
 
 def sample_batches(

@@ -9,34 +9,28 @@ not on the batch.  A :class:`CompiledSchedule` performs that derivation
 exactly once per structure signature and is then reused for every batch
 of that structure, by both training and inference.
 
-Three execution tiers share this machinery, each removing more
-per-batch work than the one before:
+Two execution paths share this machinery — one reference, one fast:
 
-1. **Per-plan taped** (reference) — :meth:`CompiledSchedule.run_training`
-   executes the schedule with taped :class:`~repro.nn.Tensor` ops
-   (differentiable autodiff; used by
+1. **Taped** (reference) — :meth:`CompiledSchedule.run_training`
+   executes the schedule position by position with taped
+   :class:`~repro.nn.Tensor` ops (differentiable autodiff; used by
    :meth:`repro.core.model.QPPNet.forward_group`, the trainer's
    ``taped`` engine, and the Figure 9a ablation modes, whose
-   deliberately redundant computation must stay observable).
-   :meth:`CompiledSchedule.run_inference` is its tape-free serving twin:
-   raw numpy through ``forward_numpy`` fast paths with pooled
-   input-assembly buffers — the lowest-latency choice for a *single*
-   plan, where there is nothing to fuse across.
-2. **Per-group compiled** — :meth:`CompiledSchedule.forward_training` /
-   :meth:`CompiledSchedule.backward` run one structure group tape-free
-   with closed-form per-unit gradients.  Internally this tier *is* a
-   single-graph :class:`~repro.core.levels.LevelPlan`: all positions of
-   one unit type at one tree depth within the group run as one stacked
-   matmul (which subsumes the earlier leaf-only ``FusedLeafGroup`` —
-   leaves are simply depth-0 levels), and the backward walks the levels
-   top-down, scatter-adding child gradients through the pre-resolved
-   input slices.  Selected by ``QPPNetConfig.engine="compiled"``.
-3. **Cross-group level-fused** — :class:`~repro.core.levels.LevelPlan`
-   over *all* structure groups of a batch at once: one matmul per unit
-   type per tree depth for the whole mixed-structure batch, forward and
-   backward.  Selected by ``QPPNetConfig.engine="fused"`` (the default)
-   and used by :meth:`repro.serving.InferenceSession.predict_batch` for
-   whole-batch serving.
+   deliberately redundant computation must stay observable).  Every
+   fast path is pinned to it at <= 1e-9 in float64.
+2. **Type-major level-fused** — :class:`~repro.core.levels.LevelPlan`:
+   a batch of structures compiled with numpy into flat index arrays and
+   run as one matmul per unit type per tree depth, forward and
+   backward, with closed-form per-unit gradients.  The trainer's
+   ``fused`` engine (the default) and
+   :meth:`repro.serving.InferenceSession.predict_batch` run whole
+   mixed-structure batches through it.  The tape-free methods of a
+   schedule — :meth:`CompiledSchedule.run_inference` (single-plan
+   serving and :meth:`~repro.core.model.QPPNet.predict_operators`) and
+   :meth:`CompiledSchedule.forward_training` /
+   :meth:`CompiledSchedule.backward` (the per-group
+   ``engine="compiled"`` trainer) — are the same executor over a
+   one-structure plan, memoized per batch size.
 
 :class:`ScheduleCache` is the LRU signature cache in front of
 compilation; in template workloads the handful of distinct structures
@@ -44,8 +38,8 @@ means steady-state serving never re-derives a schedule.
 
 Precision tiers
 ---------------
-Orthogonal to the three *execution* tiers, every engine runs at one of
-two *compute* precisions, fixed by ``QPPNetConfig.dtype``:
+Orthogonal to the execution paths, every engine runs at one of two
+*compute* precisions, fixed by ``QPPNetConfig.dtype``:
 
 * ``"float64"`` (default) — the numerical reference.  The <= 1e-9
   tape-pinning guarantees above are float64 statements, and a float64
@@ -56,7 +50,7 @@ two *compute* precisions, fixed by ``QPPNetConfig.dtype``:
   optimizer state all adopt the units' dtype, so a float32 model runs
   the whole train/serve hot path with no float64 temporaries and no
   per-batch casts (features are cast once — at corpus pre-grouping for
-  training, inside ``transform_aligned(out=)`` for serving).  Expect
+  training, by the feature programs themselves for serving).  Expect
   the measured speedups in ``BENCH_training.json``/``BENCH_serving.json``
   (``dtype`` sections); agreement with the float64 reference is
   <= 1e-4 relative on predictions.
@@ -77,7 +71,7 @@ from repro import nn
 from repro.plans.operators import LogicalType
 
 from .batching import PlanGraph
-from .levels import LevelPlan, LevelRun
+from .levels import GraphLevels, LevelPlan, LevelRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .unit import NeuralUnit
@@ -137,16 +131,34 @@ class CompiledSchedule:
             )
         self.steps: tuple[ScheduleStep, ...] = tuple(steps)
         # Tape-free execution (training AND inference) runs through a
-        # single-graph level plan: every (unit type, depth) of this
-        # structure is one fused step, which generalizes the former
-        # leaf-only fusion.  The taped run_training keeps the per-step
-        # path (autodiff needs per-position tensors anyway).
-        self.levels = LevelPlan((graph,), units)
+        # single-graph level plan per batch size: every (unit type,
+        # depth) of this structure is one fused step.  The taped
+        # run_training keeps the per-step path (autodiff needs
+        # per-position tensors anyway).
+        self._units = units
+        self._levels = (GraphLevels(graph),)
+        self._plans: OrderedDict[int, LevelPlan] = OrderedDict()
         self._grad_flat: Optional[np.ndarray] = None
+
+    #: LRU bound on memoized per-batch-size level plans.
+    MAX_CACHED_PLANS = 16
 
     @property
     def n_nodes(self) -> int:
         return self.graph.n_nodes
+
+    def level_plan(self, batch: int) -> LevelPlan:
+        """The (memoized) single-graph level plan for ``batch`` plans."""
+        plan = self._plans.get(batch)
+        if plan is None:
+            plan = self._plans[batch] = LevelPlan(
+                (self.graph,), (batch,), self._units, self._levels
+            )
+            while len(self._plans) > self.MAX_CACHED_PLANS:
+                self._plans.popitem(last=False)
+        else:
+            self._plans.move_to_end(batch)
+        return plan
 
     # ------------------------------------------------------------------
     # Execution
@@ -167,20 +179,23 @@ class CompiledSchedule:
             outputs[step.pos] = unit(unit.assemble_input(feats, children))
         return outputs
 
+    def _run(self, features: Sequence[np.ndarray], train: bool) -> LevelRun:
+        plan = self.level_plan(features[0].shape[0])
+        stacked = plan.stack_positions((features,))
+        if train:
+            return plan.forward_training(stacked)
+        return plan.forward_inference(stacked)
+
     def run_inference(self, features: Sequence[np.ndarray]) -> dict[int, np.ndarray]:
         """Tape-free bottom-up pass: ``{position -> (B, d+1) array}``.
 
         Executes level-fused within the structure (one stacked
         ``forward_numpy`` per unit type per depth); the returned values
-        are row-slice views of the level plan's pooled output matrix,
-        valid until the next tape-free pass on this schedule.  Not
-        thread-safe: the buffers are shared per schedule.
+        are row-slice views of the run's output matrix.
         """
-        batch = features[0].shape[0]
-        run = self.levels.forward_inference((features,), (batch,))
+        run = self._run(features, train=False)
         return {
-            pos: run.out[self.levels.node_slice(run.layout, 0, pos)]
-            for pos in range(self.n_nodes)
+            pos: run.out[run.plan.node_rows(0, pos)] for pos in range(self.n_nodes)
         }
 
     # ------------------------------------------------------------------
@@ -192,39 +207,27 @@ class CompiledSchedule:
         """Raw-numpy bottom-up pass caching activations for :meth:`backward`.
 
         Returns ``(outputs, tape)``: ``outputs[p]`` is the ``(B, d+1)``
-        unit output per position (a row-slice view of the level plan's
-        global output matrix), ``tape`` the :class:`LevelRun` that
-        :meth:`backward` consumes.  Execution is level-fused within the
-        group: all positions of one unit type at one tree depth run as a
-        single stacked call.  The run references the plan's pooled
-        buffers, so it is only valid until the next ``forward_training``
-        call on this schedule — i.e. for exactly one train step, the
-        trainer's forward→backward cadence.
+        unit output per position (a row-slice view of the run's output
+        matrix), ``tape`` the :class:`LevelRun` that :meth:`backward`
+        consumes — valid for exactly one train step, the trainer's
+        forward→backward cadence.
         """
-        batch = features[0].shape[0]
-        run = self.levels.forward_training((features,), (batch,))
-        outputs = [
-            run.out[self.levels.node_slice(run.layout, 0, pos)]
-            for pos in range(self.n_nodes)
-        ]
+        run = self._run(features, train=True)
+        outputs = [run.out[run.plan.node_rows(0, pos)] for pos in range(self.n_nodes)]
         return outputs, run
 
     def alloc_output_grads(self, batch: int) -> list[np.ndarray]:
         """Zeroed per-position ``(B, d+1)`` gradient seed buffers.
 
-        The returned arrays are row-slice views of one global (pooled)
-        gradient buffer shared with :meth:`backward`.  The caller writes
-        the loss gradient into the latency column (``[:, 0]``) of each
-        view and hands the list to :meth:`backward`, which adds the
-        parent-routed contributions to the data-vector columns on its
-        way down.
+        The returned arrays are row-slice views of one global gradient
+        buffer shared with :meth:`backward`.  The caller writes the loss
+        gradient into the latency column (``[:, 0]``) of each view and
+        hands the list to :meth:`backward`, which adds the parent-routed
+        contributions to the data-vector columns on its way down.
         """
-        layout = self.levels.layout((batch,))
-        self._grad_flat = self.levels.alloc_output_grads(layout)
-        return [
-            self._grad_flat[self.levels.node_slice(layout, 0, pos)]
-            for pos in range(self.n_nodes)
-        ]
+        plan = self.level_plan(batch)
+        self._grad_flat = plan.alloc_output_grads()
+        return [self._grad_flat[plan.node_rows(0, pos)] for pos in range(self.n_nodes)]
 
     def backward(self, tape: LevelRun, output_grads: Sequence[np.ndarray]) -> None:
         """Reverse level-order backward with pre-resolved gradient routing.
@@ -240,7 +243,7 @@ class CompiledSchedule:
         flat = self._grad_flat
         if (
             flat is None
-            or flat.shape[0] != tape.layout.total_rows
+            or flat.shape[0] != tape.plan.n_rows
             or not len(output_grads)
             or not np.shares_memory(output_grads[0], flat)
         ):
@@ -248,7 +251,7 @@ class CompiledSchedule:
                 "output_grads must be the seed views handed out by "
                 "alloc_output_grads for this batch size"
             )
-        self.levels.backward(tape, flat)
+        tape.plan.backward(tape, flat)
 
 
 class ScheduleCache:

@@ -38,6 +38,17 @@ from .unit import NeuralUnit
 MIN_PREDICTION_MS = 0.01
 
 
+class NonFiniteOutput(ArithmeticError):
+    """The model produced a NaN/Inf latency instead of a number.
+
+    Raised by :meth:`QPPNet.predict` / :meth:`QPPNet.predict_operators`
+    (the floor ``max(MIN_PREDICTION_MS, nan)`` would otherwise report
+    NaN as the floor).  The serving layer's
+    :class:`~repro.serving.NonFinitePrediction` subclasses it, so one
+    ``except NonFiniteOutput`` (or ``ArithmeticError``) catches both.
+    """
+
+
 class QPPNet(nn.Module):
     """The paper's model: one neural unit per operator type + tree assembly."""
 
@@ -62,9 +73,8 @@ class QPPNet(nn.Module):
         # Compile-once execution: schedules are derived per structure
         # signature and reused by training and serving alike.
         self.schedules = ScheduleCache()
-        # Cross-structure level-fused plans, keyed by the tuple of
-        # signatures in a batch (fused trainer engine + whole-batch
-        # serving share these).
+        # Per-structure level indices behind every batch's level-fused
+        # plan (fused trainer engine + whole-batch serving share them).
         self.level_plans = LevelPlanCache()
 
     # ------------------------------------------------------------------
@@ -81,14 +91,18 @@ class QPPNet(nn.Module):
         """The (cached) compiled execution schedule for ``graph``."""
         return self.schedules.get(graph, self.units)
 
-    def compile_level_plan(self, graphs: Sequence[PlanGraph]) -> LevelPlan:
-        """The (cached) cross-structure level-fused plan for ``graphs``.
+    def compile_level_plan(
+        self, graphs: Sequence[PlanGraph], counts: Sequence[int]
+    ) -> LevelPlan:
+        """The level-fused plan of a batch: ``counts[i]`` plans of ``graphs[i]``.
 
         One matmul per unit type per tree depth across *all* the given
         structures; used by the trainer's ``fused`` engine and by
-        whole-batch serving.
+        whole-batch serving.  Numpy over each structure's cached
+        :class:`~repro.core.levels.GraphLevels` (:attr:`level_plans`).
         """
-        return self.level_plans.get(graphs, self.units)
+        levels = [self.level_plans.levels(graph) for graph in graphs]
+        return LevelPlan(graphs, counts, self.units, levels)
 
     def forward_group(self, group: StructureGroup) -> dict[int, nn.Tensor]:
         """Cached bottom-up evaluation of a structure group (§5.1.2).
@@ -137,10 +151,12 @@ class QPPNet(nn.Module):
         ]
         outputs = schedule.run_inference(features)
         scale = self.featurizer.latency_scale_ms
-        return [
-            max(MIN_PREDICTION_MS, float(outputs[pos][0, 0]) * scale)
-            for pos in range(schedule.n_nodes)
-        ]
+        values = [float(outputs[pos][0, 0]) * scale for pos in range(schedule.n_nodes)]
+        if not np.isfinite(values).all():
+            raise NonFiniteOutput(
+                f"non-finite latency from model {self!r} for plan {schedule.signature}"
+            )
+        return [max(MIN_PREDICTION_MS, value) for value in values]
 
     # ------------------------------------------------------------------
     # Persistence

@@ -43,18 +43,20 @@ taped):
     reduction, instead of ``n_nodes`` taped terms chained with
     ``total + term``.
 ``fused`` (default, mode ``both`` only)
-    cross-structure level-fused execution: one
-    :class:`~repro.core.levels.LevelPlan` runs the *entire batch* — all
-    structure groups at once — with one matmul per unit type per tree
-    depth, forward and backward.  The whole-batch loss degenerates to a
-    single subtraction and dot product over the global output matrix's
-    latency column, and the backward seed is written in one shot.
+    cross-structure level-fused execution: each batch compiles into one
+    type-major :class:`~repro.core.levels.LevelPlan` that runs the
+    *entire batch* — all structure groups at once — with one matmul per
+    unit type per tree depth, forward and backward.  The batch arrives
+    as one ``take`` per unit type from the corpus, the whole-batch loss
+    degenerates to a single subtraction and dot product over the output
+    matrix's latency column, and the backward seed is written in one
+    shot.
 
 All tape-free engines share the surrounding machinery: batches come from
 an epoch-level :class:`~repro.core.batching.PreGroupedCorpus` (grouped
-once, row-gathered per batch), gradients accumulate in place into a
-:class:`~repro.nn.FlatParameterSpace`, and global-norm clipping plus the
-optimizer update run fused over the flat buffers.
+and stored type-major once, gathered per batch), gradients accumulate
+in place into a :class:`~repro.nn.FlatParameterSpace`, and global-norm
+clipping plus the optimizer update run fused over the flat buffers.
 
 All engines compute the same gradients (pinned to <= 1e-9 agreement by
 ``tests/core/test_compiled_training.py``); ``benchmarks/
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,6 +80,7 @@ from repro.workload.generator import PlanSample
 
 from .batching import (
     BufferPool,
+    CorpusBatch,
     PreGroupedCorpus,
     StructureGroup,
     VectorizedPlan,
@@ -120,35 +123,6 @@ def _singleton(plan: VectorizedPlan, dtype: np.dtype) -> StructureGroup:
         [np.asarray(f, dtype=dtype).reshape(1, -1) for f in plan.features],
         np.asarray(plan.labels, dtype=dtype).reshape(1, -1),
     )
-
-
-def _corpus_group_padder(pre_grouped: PreGroupedCorpus):
-    """Batch-group padder: align every batch to the full corpus structure list.
-
-    Random batches omit a different subset of structures each time; keyed
-    on the exact signature tuple, that would make the fused engine
-    compile (and LRU-churn) a new :class:`~repro.core.levels.LevelPlan`
-    per subset.  Padding absent structures with zero-row groups keeps the
-    signature tuple — and therefore the compiled plan, its buffers and
-    its layout cache — constant across the whole fit: zero-count blocks
-    ride through the fused forward/backward as no-ops.
-    """
-    empties = [
-        StructureGroup(g.graph, [f[:0] for f in g.features], g.labels[:0])
-        for g in pre_grouped.groups
-    ]
-    signatures = [g.graph.signature for g in pre_grouped.groups]
-
-    def pad(groups: Sequence[StructureGroup]) -> Sequence[StructureGroup]:
-        if len(groups) == len(empties):
-            return groups  # every structure present (the common case)
-        by_signature = {g.graph.signature: g for g in groups}
-        return [
-            by_signature.get(signature, empty)
-            for signature, empty in zip(signatures, empties)
-        ]
-
-    return pad
 
 
 @dataclass
@@ -300,11 +274,11 @@ class Trainer:
             fwd.schedule.backward(fwd.tape, seeds)
         return loss
 
-    def _compiled_train_step(self, groups: Sequence[StructureGroup]) -> float:
+    def _compiled_train_step(self, batch: CorpusBatch) -> float:
         """One batch: zero flat grads, fused loss+backward, clip, step."""
         flat = self._ensure_flat()
         flat.zero_grad()
-        loss = self.compiled_loss_backward(groups)
+        loss = self.compiled_loss_backward(batch.groups())
         if self.config.grad_clip:
             flat.clip_grad_norm_(self.config.grad_clip)
         self.optimizer.step_flat(flat)
@@ -313,26 +287,34 @@ class Trainer:
     # ------------------------------------------------------------------
     # Level-fused engine (whole batch, cross-structure)
     # ------------------------------------------------------------------
-    def fused_loss_backward(self, groups: Sequence[StructureGroup]) -> float:
-        """Eq. 7 over pre-grouped batch ``groups``, level-fused end to end.
+    def fused_loss_backward(
+        self, groups: Union[CorpusBatch, Sequence[StructureGroup]]
+    ) -> float:
+        """Eq. 7 over one batch, level-fused end to end.
 
-        One :class:`~repro.core.levels.LevelPlan` forward runs every
-        structure group of the batch at once (one matmul per unit type
-        per tree depth); the labels are gathered into the same global
-        row order, so the whole-batch loss is a single subtraction plus
-        one dot product, and the backward seed is one vectorized write
-        into the latency column of the global gradient buffer.  Parameter
-        gradients accumulate in place (flat-space views when the fused
-        fit loop bound them); returns the loss value.  Gradients match
-        the taped :meth:`batch_loss` + ``backward()`` to <= 1e-9.
+        ``groups`` is a :class:`~repro.core.batching.CorpusBatch` (what
+        the fit loop draws) or per-structure groups such as
+        :func:`~repro.core.batching.group_by_structure` returns.  One
+        :class:`~repro.core.levels.LevelPlan` forward runs every structure
+        of the batch at once (one matmul per unit type per tree depth);
+        the features arrive as one matrix per unit type and the labels
+        in the plan's row order, so the whole-batch loss is a single
+        subtraction plus one dot product, and the backward seed is one
+        vectorized write into the latency column.  Parameter gradients
+        accumulate in place (flat-space views when the fused fit loop
+        bound them); returns the loss value.  Gradients match the taped
+        :meth:`batch_loss` + ``backward()`` to <= 1e-9.
         """
-        plan = self.model.compile_level_plan([g.graph for g in groups])
-        run = plan.forward_training(
-            [g.features for g in groups], [g.n_plans for g in groups]
+        batch = (
+            groups
+            if isinstance(groups, CorpusBatch)
+            else CorpusBatch.of_groups(groups, self.config.np_dtype)
         )
-        labels = plan.gather_node_columns([g.labels for g in groups], run.layout)
+        plan = self.model.compile_level_plan(batch.graphs, batch.counts)
+        features, labels = batch.take(plan)
+        run = plan.forward_training(features)
         diff = run.out[:, 0] - labels
-        total_ops = max(1, run.layout.total_rows)
+        total_ops = max(1, plan.n_rows)
         mse = float(diff @ diff) / total_ops
         if self.config.loss == "rmse":
             loss = float(np.sqrt(mse + 1e-12))
@@ -341,16 +323,16 @@ class Trainer:
         else:
             loss = mse
             coeff = 1.0 / total_ops
-        grads = plan.alloc_output_grads(run.layout)
+        grads = plan.alloc_output_grads()
         np.multiply(diff, 2.0 * coeff, out=grads[:, 0])
         plan.backward(run, grads)
         return loss
 
-    def _fused_train_step(self, groups: Sequence[StructureGroup]) -> float:
+    def _fused_train_step(self, batch: CorpusBatch) -> float:
         """One batch: zero flat grads, level-fused loss+backward, clip, step."""
         flat = self._ensure_flat()
         flat.zero_grad()
-        loss = self.fused_loss_backward(groups)
+        loss = self.fused_loss_backward(batch)
         if self.config.grad_clip:
             flat.clip_grad_norm_(self.config.grad_clip)
         self.optimizer.step_flat(flat)
@@ -474,9 +456,6 @@ class Trainer:
         tape_free = pre_grouped is not None
         fused = tape_free and self.execution_engine == "fused"
         step_fn = self._fused_train_step if fused else self._compiled_train_step
-        # Fused engine: pad every batch to the corpus structure list so
-        # one LevelPlan serves the entire fit (no per-subset recompiles).
-        pad = _corpus_group_padder(pre_grouped) if fused else None
         history = TrainingHistory()
         start_epoch = 0
         wall_offset = 0.0
@@ -504,10 +483,10 @@ class Trainer:
         for epoch in range(start_epoch + 1, epochs + 1):
             epoch_losses = []
             if tape_free:
-                for groups in pre_grouped.iter_batches(
+                for batch in pre_grouped.iter_batches(
                     self.config.batch_size, rng, pool=self._stack_pool
                 ):
-                    epoch_losses.append(step_fn(pad(groups) if pad else groups))
+                    epoch_losses.append(step_fn(batch))
             else:
                 for batch in sample_batches(corpus, self.config.batch_size, rng):
                     loss = self.batch_loss(batch)

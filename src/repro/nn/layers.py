@@ -210,12 +210,25 @@ class Linear(Module):
         return f"Linear({self.in_features} -> {self.out_features})"
 
 
-class ReLU(Module):
+class Activation(Module):
+    """An elementwise activation that can also overwrite its input."""
+
+    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free forward written over ``x`` (which the caller owns)."""
+        raise NotImplementedError
+
+
+class ReLU(Activation):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         return x * (x > 0)
+
+    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
+        # Equal to ``x * (x > 0)`` for every finite or NaN input; one
+        # pass and no mask allocation.
+        return np.maximum(x, 0.0, out=x)
 
     def forward_train(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mask = x > 0
@@ -230,12 +243,17 @@ class ReLU(Module):
         return "ReLU()"
 
 
-class Sigmoid(Module):
+class Sigmoid(Activation):
     def forward(self, x: Tensor) -> Tensor:
         return F.sigmoid(x)
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
+
+    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
+        np.exp(np.negative(x, out=x), out=x)
+        x += 1.0
+        return np.divide(1.0, x, out=x)
 
     def forward_train(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = 1.0 / (1.0 + np.exp(-x))
@@ -247,12 +265,15 @@ class Sigmoid(Module):
         return grad * ctx * (1.0 - ctx)
 
 
-class Tanh(Module):
+class Tanh(Activation):
     def forward(self, x: Tensor) -> Tensor:
         return F.tanh(x)
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
+
+    def forward_inplace(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x, out=x)
 
     def forward_train(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = np.tanh(x)
@@ -294,14 +315,20 @@ class Sequential(Module):
     ) -> np.ndarray:
         """Tape-free forward; ``out``, when given, is forwarded to the final
         module (which must accept it — the unit stacks built by :func:`mlp`
-        always end in a :class:`Linear`)."""
-        if out is None:
-            for module in self.modules:
+        always end in a :class:`Linear`).  An activation that follows a
+        :class:`Linear` runs in place on that layer's fresh output — a
+        temporary this stack owns — instead of allocating another."""
+        last = len(self.modules) - 1
+        owned = False
+        for i, module in enumerate(self.modules):
+            if i == last and out is not None:
+                return module.forward_numpy(x, out=out)
+            if owned and isinstance(module, Activation):
+                module.forward_inplace(x)
+            else:
                 x = module.forward_numpy(x)
-            return x
-        for module in self.modules[:-1]:
-            x = module.forward_numpy(x)
-        return self.modules[-1].forward_numpy(x, out=out)
+                owned = isinstance(module, Linear)
+        return x
 
     def forward_train(
         self, x: np.ndarray, out: Optional[np.ndarray] = None

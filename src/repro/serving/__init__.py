@@ -19,22 +19,28 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
    feature-cache hit/miss/eviction counters aggregated across sessions).
 
 2. :class:`InferenceSession` — the synchronous building block the
-   service drains into.  ``predict_batch`` buckets by structure
-   signature (via :func:`repro.core.batching.bucket_plans`), featurizes
-   each bucket through compiled feature programs
-   (:mod:`repro.featurize.compiled`) with a bounded plan-identity
-   feature-vector cache in front — repeated templated queries skip
-   featurization entirely, and a hit is byte-for-byte the rows a miss
-   would compute — then runs the whole batch tape-free as one fused
-   forward and scatters results back to request order; ``predict`` is
-   the direct single-plan shortcut through the same cache.  Sessions
-   are single-threaded by design — the service's drain loop is their
-   serialization point.
+   service drains into.  ``predict_batch`` buckets the batch by
+   structure signature (in the canonical order of
+   :func:`repro.core.batching.bucket_plans`) and compiles it into a
+   :class:`~repro.core.levels.LevelPlan` — numpy over each structure's
+   cached index arrays.  It then builds the features as one matrix per
+   operator type: each plan's rows come from a bounded plan-identity
+   feature-vector cache when its digest hits (byte-for-byte the rows a
+   miss would compute), the misses of the whole batch run through one
+   compiled feature program (:mod:`repro.featurize.compiled`) per type,
+   and one concatenate plus one ``take`` per type put the rows in the
+   plan's step order.  The whole batch then runs tape-free as one fused
+   forward, and the root rows scatter back to request order.
+   ``predict`` is the direct single-plan shortcut through the same
+   cache.  Every predict entry point raises :class:`NonFinitePrediction`
+   rather than return NaN.  Sessions are single-threaded by design —
+   the service's drain loop is their serialization point.
 
 3. :class:`~repro.core.levels.LevelPlan` (in ``repro.core``) — the
-   fused execution tier both of the above bottom out in: one matmul per
-   unit type per tree depth across every structure bucket, identical
-   numerics to per-plan ``model.predict`` at <= 1e-9.
+   fused executor both of the above bottom out in: one matmul per unit
+   type per tree depth across every structure bucket, each step's input
+   assembled with one feature-block copy and one gather per child slot;
+   identical numerics to per-plan ``model.predict`` at <= 1e-9.
 
 :class:`ModelRegistry` manages the named models behind all of it
 (in-memory or loaded from :func:`~repro.core.bundle.save_bundle`

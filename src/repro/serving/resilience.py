@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.core.model import MIN_PREDICTION_MS
+from repro.core.model import MIN_PREDICTION_MS, NonFiniteOutput
 from repro.plans.node import PlanNode
 
 
@@ -104,12 +104,14 @@ class CircuitOpenError(ServiceError):
         self.retry_after_ms = retry_after_ms
 
 
-class NonFinitePrediction(ServiceError, ArithmeticError):
+class NonFinitePrediction(ServiceError, NonFiniteOutput):
     """A model produced NaN/Inf predictions instead of latencies.
 
-    Raised by :meth:`InferenceSession.predict_batch` (never silently
-    returned) naming the model and the offending plans' structure
-    signatures.  :attr:`indices` are batch-relative positions, which lets
+    Raised by every :class:`InferenceSession` predict entry point (never
+    silently returned) naming the model and the offending plans'
+    structure signatures.  It is the serving twin of the core
+    :class:`~repro.core.NonFiniteOutput` (an ``ArithmeticError``), which
+    it subclasses.  :attr:`indices` are batch-relative positions, which lets
     the service treat each non-finite row as a *poison request* — failing
     exactly those handles and completing the rest — rather than as a
     whole-batch failure needing bisection.

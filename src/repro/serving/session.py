@@ -2,29 +2,33 @@
 
 See the package docstring of :mod:`repro.serving` for the pipeline
 overview.  A session is cheap to construct but meant to be long-lived:
-its stacking buffers and the model's schedule/level-plan caches reach a
-steady state after the first few batches of a template workload, after
-which a ``predict_batch`` call allocates almost nothing.
+its feature cache, per-type stacking buffers and the model's
+per-structure level arrays reach a steady state after the first few
+batches of a template workload.  Nothing is kept per structure *mix*:
+a batch's :class:`~repro.core.levels.LevelPlan` is compiled with numpy
+on every call and dropped with it.
 
 Two serving paths:
 
 * **whole-batch level-fused** — ``predict_batch`` buckets the request
-  batch by structure signature, featurizes each bucket, and runs *all*
-  buckets through one :class:`~repro.core.levels.LevelPlan` forward:
-  one matmul per unit type per tree depth for the entire mixed-structure
-  batch, instead of one schedule walk per bucket;
+  batch by structure signature, compiles one
+  :class:`~repro.core.levels.LevelPlan` for the buckets, builds one
+  feature matrix per operator type in the plan's step order, and runs
+  the whole mixed-structure batch as one forward: one matmul per unit
+  type per tree depth;
 * **direct single-plan** — ``predict`` routes one plan straight through
-  its compiled schedule's ``run_inference``, skipping the bucket /
-  stack / fuse machinery whose overhead is pure waste at batch size 1.
+  its compiled schedule's ``run_inference``, skipping bucketing and
+  per-batch compilation, whose overhead is pure waste at batch size 1.
 
 Both paths featurize through the compiled tier
 (:mod:`repro.featurize.compiled`): per-type feature *programs* replace
 the per-node schema walk, and a bounded LRU **feature-vector cache**
 keyed on plan identity (structure signature + every property the
 programs read) lets repeated templated queries skip featurization
-entirely — a hit is a strided row copy, byte-for-byte identical to the
-rows a miss would compute.  Hit/miss/eviction counters surface through
-:meth:`InferenceSession.stats` and aggregate into
+entirely — a hit is a row copy, byte-for-byte identical to the rows a
+miss would compute.  In a batch, the misses of every bucket run together
+through one program call per type.  Hit/miss/eviction counters surface
+through :meth:`InferenceSession.stats` and aggregate into
 ``PredictionService.stats()``.
 """
 
@@ -37,9 +41,11 @@ import numpy as np
 
 from repro import nn
 from repro.core.batching import BufferPool, PlanBucket, plan_graph
+from repro.core.levels import LevelPlan
 from repro.core.model import MIN_PREDICTION_MS, QPPNet
 from repro.featurize.compiled import FeatureVectorCache
 from repro.plans.node import PlanNode
+from repro.plans.operators import LogicalType
 
 from .resilience import NonFinitePrediction
 
@@ -64,15 +70,13 @@ class SessionStats:
 class InferenceSession:
     """Vectorized ``predict_batch`` front-end for one model.
 
-    Not thread-safe: a session owns mutable stacking buffers (and the
-    model's compiled schedules and level plans own assembly buffers);
-    use one session per serving thread.
+    Not thread-safe: a session owns mutable stacking buffers (the
+    per-type feature matrices of the batch in flight); use one session
+    per serving thread.
     """
 
-    #: Default LRU bound on retained stacking buffers: ad-hoc workloads
-    #: with unbounded distinct plan structures must not grow the
-    #: session's memory without limit (mirrors the model's ScheduleCache
-    #: and LevelPlanCache caps).
+    #: Default LRU bound on retained stacking buffers (one per operator
+    #: type in practice; the bound keeps any keying honest).
     MAX_POOLED_BUFFERS = 1024
 
     #: Bound on the memoized structure table (preorder ``(op, arity)``
@@ -89,12 +93,11 @@ class InferenceSession:
     ) -> None:
         self.model = model
         self.featurizer = model.featurizer
-        #: The model's compute precision; the session's stacking buffers
-        #: are allocated in it, so featurization writes float32 directly
-        #: for a float32 model (no float64 staging on the hot path).
+        #: The model's compute precision; features and the session's
+        #: stacking buffers are in it, so featurization writes float32
+        #: directly for a float32 model (no float64 staging).
         self.dtype = model.config.np_dtype
         self._pool = BufferPool(max_entries=max_pooled_buffers, dtype=self.dtype)
-        self._widths = model.featurizer.feature_sizes()
         #: The featurizer's compiled tier (shared across sessions of the
         #: same model: programs and layouts are read-only after compile).
         self.programs = model.featurizer.compiled()
@@ -147,38 +150,50 @@ class InferenceSession:
         """
         if not plans:
             return np.empty(0)
-        out = np.empty(len(plans))
+        buckets, level_plan, out = self._run(plans)
         scale = self.featurizer.latency_scale_ms
-        for bucket, outputs in self._run_buckets(plans):
-            roots = np.maximum(MIN_PREDICTION_MS, outputs[0][:, 0] * scale)
-            out[bucket.indices] = roots
-        if not np.isfinite(out).all():
+        values = np.empty(len(plans))
+        values[[i for bucket in buckets for i in bucket.indices]] = np.maximum(
+            MIN_PREDICTION_MS, out[level_plan.root_rows, 0] * scale
+        )
+        if not np.isfinite(values).all():
             # Typed, never silent: name the model and the offending
             # plans so the service can treat exactly these requests as
             # poison (batch-relative indices) and complete the rest.
-            bad = np.flatnonzero(~np.isfinite(out))
+            bad = np.flatnonzero(~np.isfinite(values))
             raise NonFinitePrediction(
                 repr(self.model),
                 [plans[i].structure_signature() for i in bad],
                 [int(i) for i in bad],
             )
         self.requests_served += len(plans)
-        return out
+        return values
 
     def predict_operators_batch(self, plans: Sequence[PlanNode]) -> list[list[float]]:
-        """Per-operator latencies (ms, preorder) per plan, request order."""
+        """Per-operator latencies (ms, preorder) per plan, request order.
+
+        Raises :class:`NonFinitePrediction` naming every plan with a
+        non-finite operator latency, exactly like :meth:`predict_batch`.
+        """
         if not plans:
             return []
+        buckets, level_plan, out = self._run(plans)
+        latency = np.maximum(MIN_PREDICTION_MS, out[:, 0] * self.featurizer.latency_scale_ms)
+        finite = np.isfinite(latency)
+        if not finite.all():
+            requests = [i for bucket in buckets for i in bucket.indices]
+            bad = sorted(
+                requests[m] for m in np.unique(level_plan.row_member[~finite]).tolist()
+            )
+            raise NonFinitePrediction(
+                repr(self.model), [plans[i].structure_signature() for i in bad], bad
+            )
         results: list[list[float]] = [[] for _ in plans]
-        scale = self.featurizer.latency_scale_ms
-        for bucket, outputs in self._run_buckets(plans):
-            n_nodes = bucket.graph.n_nodes
-            per_node = [
-                np.maximum(MIN_PREDICTION_MS, outputs[pos][:, 0] * scale)
-                for pos in range(n_nodes)
-            ]
-            for row, index in enumerate(bucket.indices):
-                results[index] = [float(per_node[pos][row]) for pos in range(n_nodes)]
+        for gi, bucket in enumerate(buckets):
+            first = level_plan.node_offset[gi]
+            rows = level_plan.node_start[first : first + bucket.graph.n_nodes]
+            for j, index in enumerate(bucket.indices):
+                results[index] = latency[rows + j].tolist()
         self.requests_served += len(plans)
         return results
 
@@ -255,115 +270,104 @@ class InferenceSession:
     # ------------------------------------------------------------------
     # Level-fused whole-batch execution
     # ------------------------------------------------------------------
-    def _run_buckets(self, plans: Sequence[PlanNode]):
-        """Yield ``(bucket, {position -> (B, d+1) outputs})`` per signature.
+    def _run(
+        self, plans: Sequence[PlanNode]
+    ) -> tuple[list[PlanBucket], LevelPlan, np.ndarray]:
+        """``(buckets, level plan, (rows, d+1) outputs)`` of one batch.
 
-        The entire request batch runs as *one* level-fused forward: all
-        buckets' graphs compile into a shared
-        :class:`~repro.core.levels.LevelPlan` (cached on the model by the
-        signature tuple) and every unit type × tree depth is one stacked
-        matmul across all buckets.  The yielded outputs are row-slice
-        views of the plan's global output matrix, valid until the next
-        forward on the same plan — i.e. for the duration of the caller's
-        scatter loop.
+        The entire request batch runs as *one* level-fused forward:
+        every unit type × tree depth is one stacked matmul across all
+        buckets.  Callers guarantee ``plans`` is non-empty.
         """
-        # Canonical (sorted-by-signature) bucket order: matches the order
-        # group_by_structure/PreGroupedCorpus produce, so serving and
-        # training share cached level plans for the same structure mix.
-        ordered = self._bucket(plans)  # callers guarantee plans is non-empty
-        level_plan = self.model.compile_level_plan([b.graph for b in ordered])
-        features = [
-            self._featurize_bucket(bucket.graph.signature, bucket)
-            for bucket in ordered
-        ]
-        counts = [len(bucket.indices) for bucket in ordered]
-        # The tape flag is scoped around the forward only (never held
-        # across a yield): the fused forward is numpy throughout, but any
-        # custom module falling back to taped forward stays tape-free.
+        buckets, level_plan, features = self._prepare(plans)
+        # The tape flag is scoped around the forward only: the fused
+        # forward is numpy throughout, but any custom module falling
+        # back to taped forward stays tape-free.
         with nn.inference_mode():
-            run = level_plan.forward_inference(features, counts)
-        for gi, bucket in enumerate(ordered):
-            outputs = {
-                pos: run.out[level_plan.node_slice(run.layout, gi, pos)]
-                for pos in range(bucket.graph.n_nodes)
-            }
-            yield bucket, outputs
+            run = level_plan.forward_inference(features)
+        return buckets, level_plan, run.out
 
-    def _featurize_bucket(self, signature: str, bucket: PlanBucket) -> list[np.ndarray]:
-        """Compiled ``F(op)`` matrices per position of a bucket.
+    def _prepare(
+        self, plans: Sequence[PlanNode]
+    ) -> tuple[list[PlanBucket], LevelPlan, dict[LogicalType, np.ndarray]]:
+        """Bucket, compile and featurize: ``(buckets, level plan, features)``.
 
-        All positions sharing a logical type run through one
-        :class:`~repro.featurize.compiled.FeatureProgram` call
-        (their schema and vector width are identical), position-major;
-        each position's ``(B, f_type)`` matrix is then a contiguous
-        row-slice view of the combined buffer.
-
-        When the feature-vector cache is enabled, each plan is first
-        looked up by its identity digest: hit rows are strided copies of
-        the cached blocks (plan ``j``'s rows are ``out[j::n_plans]`` in
-        the position-major buffer), and only the missing plans are
-        featurized — into a staging buffer when the bucket is partially
-        hit, or straight into the pooled buffer when fully cold.
+        Canonical (sorted-by-signature) bucket order matches the order
+        group_by_structure/PreGroupedCorpus produce, so serving and
+        training lay the same structure mix out identically.
         """
-        graph = bucket.graph
-        n_plans = len(bucket.indices)
-        layout = self.programs.layout(graph)
-        cache = self.feature_cache
-        digests: list[tuple] = []
-        entries: Optional[list] = None
-        miss: Sequence[int] = range(n_plans)
-        if cache is not None:
-            digests = self.programs.digests(graph, bucket.nodes)
-            get = cache.get
-            entries = [get(digest) for digest in digests]
-            miss = [j for j, entry in enumerate(entries) if entry is None]
-        # Per-miss-plan blocks to insert after the fill (copies: the
-        # pooled buffer is overwritten by the next batch).
-        new_blocks: dict[int, dict] = (
-            {j: {} for j in miss} if cache is not None and miss else {}
+        buckets = self._bucket(plans)
+        level_plan = self.model.compile_level_plan(
+            [b.graph for b in buckets], [len(b.indices) for b in buckets]
         )
-        stacked: list[np.ndarray] = [np.empty(0)] * graph.n_nodes
-        for program, positions in layout:
-            ltype = program.ltype
-            k_n = len(positions)
-            width = self._widths[ltype]
-            out = self._pool.take((signature, ltype), (n_plans * k_n, width))
-            if entries is None or len(miss) == n_plans:
-                # Cold bucket (or caching disabled): run the program
-                # straight into the pooled buffer, position-major.
-                nodes = [
-                    plan_nodes[pos] for pos in positions for plan_nodes in bucket.nodes
-                ]
-                program.run(nodes, out=out)
-            else:
-                # Mixed hit/miss: featurize only the missing plans into a
-                # staging buffer, then assemble the position-major pooled
-                # buffer with ONE stack per type (plan ``j``'s rows are
-                # ``out[j::n_plans]`` — stacking the per-plan ``(k_n,
-                # width)`` blocks along axis 1 writes exactly that).
-                rows: list = [None] * n_plans
-                if miss:
-                    n_miss = len(miss)
-                    temp = self._pool.take(
-                        (signature, ltype, "miss"), (n_miss * k_n, width)
-                    )
-                    program.run(
-                        [bucket.nodes[j][pos] for pos in positions for j in miss],
-                        out=temp,
-                    )
-                    for m, j in enumerate(miss):
-                        rows[j] = temp[m::n_miss]
-                for j, entry in enumerate(entries):
-                    if entry is not None:
-                        rows[j] = entry[ltype]
-                np.stack(rows, axis=1, out=out.reshape(k_n, n_plans, width))
-            for j in new_blocks:
-                new_blocks[j][ltype] = out[j::n_plans].copy()
-            for k, pos in enumerate(positions):
-                stacked[pos] = out[k * n_plans : (k + 1) * n_plans]
-        for j, blocks in new_blocks.items():
-            cache.put(digests[j], blocks)
-        return stacked
+        return buckets, level_plan, self._featurize(buckets, level_plan)
+
+    def _featurize(
+        self, buckets: Sequence[PlanBucket], level_plan: LevelPlan
+    ) -> dict[LogicalType, np.ndarray]:
+        """The batch's features: one step-order matrix per unit type.
+
+        Each plan's rows come from the feature-vector cache when its
+        identity digest hits; the misses of the whole batch run through
+        one :class:`~repro.featurize.compiled.FeatureProgram` call per
+        logical type, and each miss's blocks are cached.  The plans'
+        blocks form one member-major matrix per type (see
+        :attr:`~repro.core.levels.LevelPlan.member_index`) — the program
+        output itself when every plan missed, else one concatenate — and
+        one ``take`` per type puts its rows in step order.
+        """
+        programs, cache = self.programs, self.feature_cache
+        layouts = [programs.layout(b.graph) for b in buckets for _ in b.indices]
+        nodes = [plan_nodes for b in buckets for plan_nodes in b.nodes]
+        if cache is None:
+            entries: list[Optional[dict]] = [None] * len(nodes)
+        else:
+            digests = [d for b in buckets for d in programs.digests(b.graph, b.nodes)]
+            entries = [cache.get(digest) for digest in digests]
+        missed = [m for m, entry in enumerate(entries) if entry is None]
+        if missed:
+            sources = self._run_programs([nodes[m] for m in missed], [layouts[m] for m in missed])
+            if cache is not None:
+                # Copies: a cached block must not pin the batch's matrices.
+                cursor = dict.fromkeys(sources, 0)
+                for m in missed:
+                    blocks = entries[m] = {}
+                    for program, positions in layouts[m]:
+                        at = cursor[program.ltype]
+                        cursor[program.ltype] = end = at + len(positions)
+                        blocks[program.ltype] = sources[program.ltype][at:end].copy()
+                    cache.put(digests[m], blocks)
+        if len(missed) < len(nodes):
+            parts: dict = {}
+            for entry, layout in zip(entries, layouts):
+                for program, _ in layout:
+                    parts.setdefault(program.ltype, []).append(entry[program.ltype])
+            sources = {ltype: np.concatenate(blocks) for ltype, blocks in parts.items()}
+        take = self._pool.take
+        return {
+            ltype: np.take(
+                sources[ltype],
+                rows,
+                axis=0,
+                out=take(ltype, (len(rows), sources[ltype].shape[1])),
+            )
+            for ltype, rows in level_plan.member_index.items()
+        }
+
+    def _run_programs(
+        self, node_lists: Sequence[list[PlanNode]], layouts: Sequence[tuple]
+    ) -> dict[LogicalType, np.ndarray]:
+        """Featurize plans (preorder node lists, with their layouts): one
+        program run per logical type, member-major — each plan's rows of
+        that type in preorder, plans in the given order."""
+        by_program: dict = {}
+        for plan_nodes, layout in zip(node_lists, layouts):
+            for program, positions in layout:
+                by_program.setdefault(program, []).extend([plan_nodes[p] for p in positions])
+        return {
+            program.ltype: program.run(type_nodes, dtype=self.dtype)
+            for program, type_nodes in by_program.items()
+        }
 
     def _featurize_plan(self, graph, nodes: list[PlanNode]) -> list[np.ndarray]:
         """Per-position ``(1, f_type)`` feature rows for one plan.

@@ -15,11 +15,13 @@ import pytest
 from repro import nn
 from repro.core import (
     CompiledSchedule,
+    CorpusBatch,
     LevelPlan,
     PlanGraph,
     PreGroupedCorpus,
     QPPNet,
     QPPNetConfig,
+    StructureGroup,
     Trainer,
     group_by_structure,
     vectorize_corpus,
@@ -126,18 +128,22 @@ class TestGradientEquivalence:
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
     def test_fused_padded_batch_matches_subset(self, corpus, featurizer):
-        """Zero-row padding to the corpus structure list (what the fused
-        fit loop does to keep one LevelPlan per fit) must not change the
-        loss or any gradient."""
-        from repro.core.trainer import _corpus_group_padder
-
+        """Zero-row groups (structures absent from a batch, padded in)
+        must not change the loss or any gradient."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
         vec = vectorize_corpus(corpus, featurizer)
         pre = PreGroupedCorpus(vec)
         subset = pre.gather(np.arange(0, len(vec), 3))
-        padded = _corpus_group_padder(pre)(subset)
+        present = {g.graph.signature: g for g in subset}
+        padded = [
+            present.get(
+                g.graph.signature,
+                StructureGroup(g.graph, [f[:0] for f in g.features], g.labels[:0]),
+            )
+            for g in pre.groups
+        ]
         assert len(padded) == pre.n_structures
         assert len(subset) < len(padded)  # some structures really absent
         assert any(g.n_plans == 0 for g in padded)
@@ -152,12 +158,15 @@ class TestGradientEquivalence:
         assert _max_grad_diff(model, reference) <= GRAD_TOL
 
     def test_fused_fit_compiles_one_level_plan(self, corpus, featurizer):
-        """Small random batches omit structures; padding must keep the
-        level-plan cache at a single entry for the whole fit."""
+        """Small random batches mix structures differently every step, yet
+        each structure's level arrays are built once for the whole fit;
+        every later batch compiles from the cache."""
         config = tiny_config(epochs=2, batch_size=4)
         model = QPPNet(featurizer, config)
         Trainer(model, config).fit(corpus)
-        assert len(model.level_plans) == 1
+        structures = {s.plan.structure_signature() for s in corpus}
+        assert model.level_plans.misses == len(model.level_plans) == len(structures)
+        assert model.level_plans.hits > 0
 
     def test_backward_rejects_foreign_seed_buffers(self, corpus, featurizer):
         """CompiledSchedule.backward requires the alloc_output_grads views
@@ -213,15 +222,19 @@ class TestGradientEquivalence:
             if sum(1 for t, kids in zip(p.graph.types, p.graph.children)
                    if not kids) >= 2
         )
-        schedule = model.compile_schedule(multi_scan.graph)
-        leaf_steps = [s for s in schedule.levels.steps if s.level == 0]
-        assert any(len(s.entries) >= 2 for s in leaf_steps)
+        plan = model.compile_schedule(multi_scan.graph).level_plan(1)
+
+        def positions(step):
+            return [int(plan.node_pos[n]) for n in plan.order[step.node_lo : step.node_hi]]
+
+        leaf_steps = [s for s in plan.steps if s.level == 0]
+        assert any(len(positions(s)) >= 2 for s in leaf_steps)
         # Every position belongs to exactly one level step.
-        seen = [e.pos for s in schedule.levels.steps for e in s.entries]
-        assert sorted(seen) == list(range(schedule.n_nodes))
-        # Leaves are exactly the level-0 entries.
+        seen = [pos for s in plan.steps for pos in positions(s)]
+        assert sorted(seen) == list(range(multi_scan.graph.n_nodes))
+        # Leaves are exactly the level-0 positions.
         leaves = {pos for pos, kids in enumerate(multi_scan.graph.children) if not kids}
-        assert {e.pos for s in leaf_steps for e in s.entries} == leaves
+        assert {pos for s in leaf_steps for pos in positions(s)} == leaves
 
 
 _UNARY_TYPES = (
@@ -321,19 +334,23 @@ class TestRandomStructureEquivalence:
         # Level-fused: one stacked forward/backward across all graphs.
         for unit in units.values():
             unit.zero_grad()
-        plan = LevelPlan(graphs, units)
-        run = plan.forward_training(features, counts)
-        flat_labels = plan.gather_node_columns(labels, run.layout)
+        batch = CorpusBatch.of_groups(
+            [StructureGroup(*group) for group in zip(graphs, features, labels)],
+            np.float64,
+        )
+        plan = LevelPlan(batch.graphs, batch.counts, units)
+        batch_features, flat_labels = batch.take(plan)
+        run = plan.forward_training(batch_features)
         diff = run.out[:, 0] - flat_labels
         fused_loss = float(diff @ diff) / total_ops
-        grads = plan.alloc_output_grads(run.layout)
+        grads = plan.alloc_output_grads()
         np.multiply(diff, 2.0 / total_ops, out=grads[:, 0])
         plan.backward(run, grads)
 
         assert abs(taped_loss.item() - fused_loss) <= GRAD_TOL
         for gi, graph in enumerate(graphs):
             for pos in range(graph.n_nodes):
-                fused_out = run.out[plan.node_slice(run.layout, gi, pos)]
+                fused_out = run.out[plan.node_rows(gi, pos)]
                 assert np.max(np.abs(fused_out - taped_forward[(gi, pos)])) <= GRAD_TOL
         worst = max(
             float(np.max(np.abs(taped_grads[(lt, name)] - (
@@ -401,12 +418,16 @@ class TestDtypeTiers:
         total_ops = sum(b * g.n_nodes for g, b in zip(graphs, counts))
 
         def run(units, features, labels):
-            plan = LevelPlan(graphs, units)
-            run = plan.forward_training(features, counts)
-            flat_labels = plan.gather_node_columns(labels, run.layout)
+            batch = CorpusBatch.of_groups(
+                [StructureGroup(*group) for group in zip(graphs, features, labels)],
+                features[0][0].dtype,
+            )
+            plan = LevelPlan(batch.graphs, batch.counts, units)
+            batch_features, flat_labels = batch.take(plan)
+            run = plan.forward_training(batch_features)
             diff = run.out[:, 0] - flat_labels
             loss = float(diff @ diff) / total_ops
-            grads = plan.alloc_output_grads(run.layout)
+            grads = plan.alloc_output_grads()
             np.multiply(diff, 2.0 / total_ops, out=grads[:, 0])
             plan.backward(run, grads)
             out = run.out.copy()
@@ -468,15 +489,21 @@ class TestDtypeTiers:
         for param in model.parameters():
             assert param.data.dtype == np.float32
             assert param.grad.dtype == np.float32
-        # Every pooled buffer of every compiled level plan (assembly
-        # matrices, global outputs, gradient seeds, label gathers).
-        plans = list(model.level_plans._entries.values())
-        assert plans, "fused fit must have compiled a level plan"
-        for plan in plans:
-            assert plan.dtype == np.float32
-            for buffer in plan._buffers._buffers.values():
-                assert buffer.dtype == np.float32
+        assert len(model.level_plans), "fused fit must have compiled level plans"
+        # One fused step's buffers: per-type features, labels, outputs,
+        # gradient seeds.
+        pre = PreGroupedCorpus(vec, dtype=np.float32)
+        batch = pre.batch(np.arange(len(vec)), pool=trainer._stack_pool)
+        plan = model.compile_level_plan(batch.graphs, batch.counts)
+        assert plan.dtype == np.float32
+        features, labels = batch.take(plan)
+        assert labels.dtype == np.float32
+        assert all(f.dtype == np.float32 for f in features.values())
+        run = plan.forward_training(features)
+        assert run.out.dtype == np.float32
+        assert plan.alloc_output_grads().dtype == np.float32
         # The trainer's stacking pool feeds batches in compute dtype.
+        assert trainer._stack_pool._buffers
         for buffer in trainer._stack_pool._buffers.values():
             assert buffer.dtype == np.float32
 
@@ -531,7 +558,7 @@ class TestDtypeTiers:
             ),
         }
         with pytest.raises(ValueError, match="dtype"):
-            LevelPlan([graph], units)
+            LevelPlan([graph], (1,), units)
 
 
 class TestPreGroupedCorpus:
@@ -553,8 +580,9 @@ class TestPreGroupedCorpus:
         pre = PreGroupedCorpus(vec)
         rng = np.random.default_rng(0)
         total = 0
-        for groups in pre.iter_batches(10, rng):
-            total += sum(g.n_plans for g in groups)
+        for batch in pre.iter_batches(10, rng):
+            assert sum(batch.counts) == batch.n_plans == sum(g.n_plans for g in batch.groups())
+            total += batch.n_plans
         assert total == len(vec)
 
     def test_pooled_gather_equals_unpooled(self, corpus, featurizer):

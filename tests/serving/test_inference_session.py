@@ -1,6 +1,9 @@
 """Serving-layer properties: batch/per-plan agreement, cache identity,
 registry behaviour (ISSUE: compile-once + structure-bucketed serving)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,12 +177,14 @@ class TestScheduleCache:
         model.level_plans.clear()
         session = InferenceSession(model)
         plans = [s.plan for s in corpus]
-        # Whole-batch serving compiles one level plan per structure mix.
+        structures = {p.structure_signature() for p in plans}
+        # Whole-batch serving builds each structure's level arrays once;
+        # any later mix of the same structures compiles from the cache.
         session.predict_batch(plans)
-        assert model.level_plans.misses == 1
-        session.predict_batch(plans)
-        assert model.level_plans.misses == 1  # warm now
-        assert model.level_plans.hits == 1
+        assert model.level_plans.misses == len(structures)
+        session.predict_batch(plans[::-1][:5])
+        assert model.level_plans.misses == len(structures)  # warm now
+        assert model.level_plans.hits == len({p.structure_signature() for p in plans[::-1][:5]})
         # The single-plan fast path goes through per-structure schedules.
         session.predict(plans[0])
         assert model.schedules.misses == 1
@@ -203,6 +208,39 @@ class TestScheduleCache:
         cache.get(graphs[2], model.units)  # evicts graphs[0]
         assert len(cache) == 2
         assert cache.get(graphs[0], model.units) is not a  # recompiled
+
+
+class TestBoundedMemory:
+    def test_retained_memory_flat_under_composition_churn(self, model, corpus):
+        """500+ batches whose structure mixes never repeat: after warm-up
+        (every plan featurized and cached once, every structure's level
+        arrays built) the memory the session and model retain stops
+        growing — nothing is kept per structure mix."""
+        plans = [s.plan for s in corpus]
+        signatures = [p.structure_signature() for p in plans]
+        rng = np.random.default_rng(17)
+        seen, batches = set(), []
+        while len(batches) < 600:
+            picks = rng.choice(len(plans), size=int(rng.integers(2, 10)), replace=False)
+            mix = tuple(sorted(signatures[i] for i in picks))
+            if mix not in seen:
+                seen.add(mix)
+                batches.append([plans[i] for i in picks])
+        session = InferenceSession(model)
+        tracemalloc.start()
+        try:
+            session.predict_batch(plans)
+            for batch in batches[:100]:
+                session.predict_batch(batch)
+            gc.collect()
+            warm = tracemalloc.get_traced_memory()[0]
+            for batch in batches[100:]:
+                session.predict_batch(batch)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+        assert grown <= 64 * 1024, f"retained memory grew {grown} bytes"
 
 
 class TestModelRegistry:

@@ -72,18 +72,19 @@ class TestFloat32Serving:
             assert precision_agreement_gap([a], [b], scale) <= REL_TOL
 
     def test_float32_session_pools_are_float32(self, model32, corpus):
-        """Hot-path purity on the serving side: stacking buffers and the
-        level plan's assembly/output buffers are float32 throughout."""
+        """Hot-path purity on the serving side: the per-type feature
+        matrices and the level plan's outputs are float32 throughout."""
         session = InferenceSession(model32)
         assert session.dtype == np.float32
-        session.predict_batch([s.plan for s in corpus[:32]])
+        plans = [s.plan for s in corpus[:32]]
+        session.predict_batch(plans)
         assert session._pool._buffers, "featurization must have pooled buffers"
         for buffer in session._pool._buffers.values():
             assert buffer.dtype == np.float32
-        for plan in model32.level_plans._entries.values():
-            assert plan.dtype == np.float32
-            for buffer in plan._buffers._buffers.values():
-                assert buffer.dtype == np.float32
+        _, level_plan, features = session._prepare(plans)
+        assert level_plan.dtype == np.float32
+        assert all(f.dtype == np.float32 for f in features.values())
+        assert level_plan.forward_inference(features).out.dtype == np.float32
 
     def test_api_output_dtype_unchanged(self, model32, corpus):
         """predict_batch keeps returning float64 ms values — precision is

@@ -13,8 +13,9 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import QPPNet, QPPNetConfig
+from repro.core import NonFiniteOutput, QPPNet, QPPNetConfig, plan_graph
 from repro.featurize import Featurizer
+from repro.plans.operators import LogicalType
 from repro.plans.validate import PlanValidationError
 from repro.serving import (
     CircuitBreaker,
@@ -248,6 +249,68 @@ class TestNonFiniteSession:
         session = InferenceSession(poisoned_model)
         with pytest.raises(NonFinitePrediction):
             session.predict(plans[0])
+
+
+class TestNonFiniteEveryEntryPoint:
+    """NaN output biases: every predict entry point — session and model,
+    batch and single — raises a typed error instead of returning NaN or
+    the 0.01 ms floor (Python's ``max(0.01, nan)`` is 0.01)."""
+
+    @staticmethod
+    def poisoned(corpus, ltypes=None):
+        model = make_model(corpus)
+        for ltype, unit in model.units.items():
+            if ltypes is None or ltype in ltypes:
+                unit.net.modules[-1].bias.data.fill(np.nan)
+        return model
+
+    def test_session_predict_operators_batch_raises_typed(self, corpus, plans):
+        session = InferenceSession(self.poisoned(corpus))
+        with pytest.raises(NonFinitePrediction) as exc_info:
+            session.predict_operators_batch(plans[:4])
+        assert exc_info.value.indices == [0, 1, 2, 3]
+        assert plans[0].structure_signature() in exc_info.value.signatures
+
+    def test_session_predict_operators_raises_typed(self, corpus, plans):
+        session = InferenceSession(self.poisoned(corpus))
+        with pytest.raises(NonFinitePrediction):
+            session.predict_operators(plans[0])
+
+    @pytest.mark.parametrize("entry", ["predict", "predict_operators"])
+    def test_model_entry_points_raise_typed(self, corpus, plans, entry):
+        model = self.poisoned(corpus)
+        with pytest.raises(NonFiniteOutput, match="non-finite"):
+            getattr(model, entry)(plans[0])
+
+    def test_one_except_clause_catches_every_entry_point(self, corpus, plans):
+        assert issubclass(NonFinitePrediction, NonFiniteOutput)
+        assert issubclass(NonFiniteOutput, ArithmeticError)
+        model = self.poisoned(corpus)
+        session = InferenceSession(model)
+        calls = [
+            lambda: session.predict_batch(plans[:3]),
+            lambda: session.predict(plans[0]),
+            lambda: session.predict_operators_batch(plans[:3]),
+            lambda: session.predict_operators(plans[0]),
+            lambda: model.predict(plans[0]),
+            lambda: model.predict_operators(plans[0]),
+        ]
+        for call in calls:
+            with pytest.raises(NonFiniteOutput):
+                call()
+
+    def test_operators_name_exactly_the_poisoned_plans(self, corpus, plans):
+        """One poisoned unit type: only plans using it are named; the
+        others still serve finite values through the batch path."""
+        uses_sort = [LogicalType.SORT in plan_graph(p).types for p in plans]
+        assert any(uses_sort) and not all(uses_sort)
+        session = InferenceSession(self.poisoned(corpus, {LogicalType.SORT}))
+        with pytest.raises(NonFinitePrediction) as exc_info:
+            session.predict_operators_batch(plans)
+        assert exc_info.value.indices == [i for i, u in enumerate(uses_sort) if u]
+        clean = [p for p, u in zip(plans, uses_sort) if not u]
+        values = session.predict_operators_batch(clean)
+        assert all(np.isfinite(v).all() for v in values)
 
 
 # ----------------------------------------------------------------------
