@@ -1,17 +1,16 @@
 """BENCH: serving throughput — per-plan loop vs level-fused batch inference,
-the direct single-plan fast path, and the coalescing PredictionService.
+and the coalescing PredictionService.
 
 Measures plans/sec over a 512-plan mixed-template workload (every TPC-H
 template represented), the workload shape of the ROADMAP's heavy-traffic
-serving target.  Three measurements:
+serving target.  Two measurements:
 
 * ``predict_batch`` — the whole request batch runs as ONE level-fused
   forward (one matmul per unit type per tree depth across every
-  structure bucket).  Acceptance bar (ISSUE 1, kept): >= 5x the per-plan
-  loop, with <= 1e-9 numeric agreement.
-* ``predict`` — the direct single-plan shortcut through the compiled
-  schedule, versus routing a batch of one through the full bucket /
-  stack / fuse machinery (ISSUE 3 satellite: per-call overhead drop).
+  structure bucket).  Acceptance bar: >= 5x the per-plan
+  ``InferenceSession.predict`` loop (the same executor at batch size
+  1), with <= 1e-9 numeric agreement against the taped
+  ``QPPNet.predict`` reference.
 * ``PredictionService`` — concurrent per-query arrivals (submitter
   threads racing one service) coalesced by the micro-batch window into
   fused batches.  Acceptance bar (ISSUE 4): the request-centric path
@@ -19,7 +18,7 @@ serving target.  Three measurements:
   hand-batched ``predict_batch`` plans/s, with bounded p99 queue
   latency recorded alongside.
 
-A fourth measurement (ISSUE 5) serves the same workload from a
+A third measurement serves the same workload from a
 ``QPPNetConfig(dtype="float32")`` model: the fused forward itself must
 gain >= ``BENCH_F32_MIN_SPEEDUP`` (default 1.3, measured ~1.6-1.7x;
 featurization is dtype-independent Python, so the end-to-end batch gain
@@ -28,7 +27,7 @@ to <= 1e-4 relative (denominator floored at 1% of the latency scale),
 and the coalescing ``PredictionService`` path is benchmarked in float32
 with its throughput ratio and p50/p99 latency.
 
-A fifth measurement (ISSUE 6) isolates featurization: end-to-end
+A fourth measurement isolates featurization: end-to-end
 ``predict_batch`` (which adds bucketing, featurization through the
 compiled programs, and result scatter on top of the fused forward) is
 timed against the *pure* fused forward on pre-featurized inputs, both
@@ -44,7 +43,7 @@ forward here.  The CI job pins the env var to the issue's aspirational
 1.5 in a non-blocking lane, so the trajectory is archived without
 gating merges on hardware we don't control.
 
-A sixth measurement (ISSUE 7) prices the resilience layer: the same
+A fifth measurement prices the resilience layer: the same
 burst is served by a *disarmed* service (validation, admission control,
 poison isolation and breaker all off — the PR-6 happy path) and by a
 fully armed one (submit-site plan validation, per-request deadlines,
@@ -53,7 +52,7 @@ sustain >= ``1 - BENCH_RESILIENCE_MAX_OVERHEAD`` (default 0.1, so
 >= 0.9x) of the disarmed throughput — the guards are bookkeeping on the
 submit path and must never show up at batch scale.
 
-A seventh measurement (ISSUE 8) prices the live-lifecycle machinery:
+A sixth measurement prices the live-lifecycle machinery:
 the same burst is served by a plain service and by one with the full
 observe→detect loop armed — every request's outcome journaled via
 ``Prediction.observe`` and a background ``LifecycleManager`` polling the
@@ -62,13 +61,13 @@ measurement is pure bookkeeping, never a retrain).  The armed service
 must sustain >= ``1 - BENCH_LIFECYCLE_MAX_OVERHEAD`` of the plain
 throughput.
 
-An eighth measurement (ISSUE 9 "ingestion" section) tracks the
+A seventh measurement (the "ingestion" section) tracks the
 real-engine EXPLAIN front-end: plans/s through dialect parsing
 (validation included) and through the full parse -> featurize path,
 replayed over the golden fixture corpus, gated loosely by
 ``BENCH_INGEST_MIN_PLANS_PER_S``.
 
-A ninth measurement (ISSUE 10 "durability" section) prices the
+An eighth measurement (the "durability" section) prices the
 crash-safe outcome journal: the observed burst drains through an
 in-memory ``OutcomeLog`` and through one wired to an on-disk
 ``OutcomeJournal`` (batched fsync gated by
@@ -103,7 +102,6 @@ from repro.workload import Workbench
 
 N_PLANS = 512
 REQUIRED_SPEEDUP = 5.0
-SINGLE_PLAN_CALLS = 64
 SUBMITTER_THREADS = 4
 #: Local default re-baselined from 0.7 (ISSUE 8 satellite): the 4-thread
 #: concurrent-arrivals sections measure GIL-contended submit bursts whose
@@ -168,12 +166,14 @@ def test_batched_inference_throughput(workload):
     model, plans = workload
     session = InferenceSession(model)
 
-    # Warm both paths: schedule/level-plan compilation and buffer growth
-    # are one-time costs that steady-state serving never pays again.
+    # Warm both paths: level-plan compilation, feature caching and buffer
+    # growth are one-time costs that steady-state serving never pays
+    # again.  The per-plan loop is the same fused executor at batch size
+    # 1, so the ratio measures batching alone.
     session.predict_batch(plans)
     reference = np.array([model.predict(p) for p in plans])
 
-    per_plan_s = _best_of(lambda: [model.predict(p) for p in plans])
+    per_plan_s = _best_of(lambda: [session.predict(p) for p in plans])
     batched_s = _best_of(lambda: session.predict_batch(plans))
 
     batched = session.predict_batch(plans)
@@ -207,55 +207,6 @@ def test_batched_inference_throughput(workload):
 
     assert agreement <= 1e-9
     assert speedup >= REQUIRED_SPEEDUP
-
-
-def test_single_plan_latency(workload):
-    """Direct ``predict`` vs a batch of one through the bucket machinery."""
-    model, plans = workload
-    session = InferenceSession(model)
-    sample = plans[:SINGLE_PLAN_CALLS]
-
-    # Warm: compile schedules and the per-signature level plans.
-    for plan in sample:
-        session.predict(plan)
-        session.predict_batch([plan])
-
-    direct_s = _best_of(lambda: [session.predict(p) for p in sample])
-    bucketed_s = _best_of(lambda: [session.predict_batch([p])[0] for p in sample])
-    direct_us = direct_s / len(sample) * 1e6
-    bucketed_us = bucketed_s / len(sample) * 1e6
-    overhead_drop = bucketed_s / direct_s
-
-    worst = max(
-        abs(session.predict(p) - float(session.predict_batch([p])[0]))
-        for p in sample
-    )
-
-    out_path = _update_bench(
-        "single_plan",
-        {
-            "calls": len(sample),
-            "direct_us_per_call": round(direct_us, 1),
-            "bucketed_us_per_call": round(bucketed_us, 1),
-            "overhead_drop": round(overhead_drop, 3),
-            "max_abs_diff": worst,
-        },
-    )
-
-    print(
-        f"\n[single-plan latency] {len(sample)} calls\n"
-        f"  direct predict    : {direct_us:7.1f} us/call\n"
-        f"  via batch-of-1    : {bucketed_us:7.1f} us/call\n"
-        f"  overhead drop     : {overhead_drop:.2f}x\n"
-        f"  max |diff|        : {worst:.2e}  (required <= 1e-9)\n"
-        f"  -> {out_path}"
-    )
-
-    assert worst <= 1e-9
-    # The direct path must never be meaningfully slower than the bucket
-    # machinery (slack for timer noise; both paths are featurization-bound,
-    # so the drop is real but small).
-    assert direct_s <= bucketed_s * 1.10
 
 
 def test_featurization_compiled(workload):

@@ -1,15 +1,13 @@
-"""BENCH: training throughput — taped autodiff vs compiled vs level-fused,
-and the float32 precision tier vs the float64 reference.
+"""BENCH: training throughput — taped autodiff vs level-fused, and the
+float32 precision tier vs the float64 reference.
 
 Trains the same model (mode ``both``, the paper's configuration) on a
-512-plan mixed-template TPC-H corpus under all three execution engines
-and measures epochs/sec:
+512-plan mixed-template TPC-H corpus under both execution engines and
+measures epochs/sec:
 
-* ``taped``    — the autodiff reference (PR 2 baseline);
-* ``compiled`` — per-group tape-free schedules (PR 2 engine, now
-  level-fused within each group);
-* ``fused``    — cross-structure level fusion: one matmul per unit type
-  per tree depth for the whole batch (ISSUE 3 tentpole).
+* ``taped`` — the autodiff reference;
+* ``fused`` — cross-structure level fusion: one matmul per unit type
+  per tree depth for the whole batch.
 
 A second measurement (ISSUE 5) runs the fused engine at both compute
 precisions: ``QPPNetConfig(dtype="float32")`` halves the byte width of
@@ -17,12 +15,13 @@ parameters, features, activations, gradients and optimizer state, which
 on these memory-bandwidth-bound matmuls is a direct epoch-throughput
 win.
 
-Acceptance bars: compiled >= 3x taped (ISSUE 2), fused >= 1.5x compiled
-(ISSUE 3; CI relaxes to 1.3x on noisy shared runners via
-``BENCH_FUSED_MIN_SPEEDUP``), float32 fused >= 1.3x float64 fused
-(ISSUE 5 — measured ~1.4-1.5x on a quiet machine, gated at 1.3x locally
-for clock-drift headroom; CI relaxes to 1.2x via
-``BENCH_F32_MIN_SPEEDUP``).
+Acceptance bars: fused >= 3.0 x ``BENCH_FUSED_MIN_SPEEDUP`` x taped
+(4.5x locally; CI relaxes ``BENCH_FUSED_MIN_SPEEDUP`` to 1.3, so 3.9x,
+on noisy shared runners) — the product of the retired per-group
+engine's two bars, compiled >= 3x taped and fused >= 1.5x compiled;
+float32 fused >= 1.3x float64 fused (measured ~1.4-1.5x on a quiet
+machine, gated at 1.3x locally for clock-drift headroom; CI relaxes to
+1.2x via ``BENCH_F32_MIN_SPEEDUP``).
 
 Each test merges its section into ``BENCH_training.json`` (override the
 path via the ``BENCH_TRAINING_JSON`` env var) so CI can archive the perf
@@ -43,8 +42,9 @@ from repro.featurize import Featurizer
 from repro.workload import Workbench
 
 N_PLANS = 512
-REQUIRED_SPEEDUP = 3.0  # compiled vs taped (ISSUE 2)
-REQUIRED_FUSED_SPEEDUP = float(os.environ.get("BENCH_FUSED_MIN_SPEEDUP", "1.5"))
+#: fused vs taped: the product of the retired per-group engine's bars
+#: (3.0x over taped, then ``BENCH_FUSED_MIN_SPEEDUP`` over it).
+REQUIRED_SPEEDUP = 3.0 * float(os.environ.get("BENCH_FUSED_MIN_SPEEDUP", "1.5"))
 # Local gate 1.3x / CI 1.2x: the measured ratio on a quiet machine is
 # ~1.4-1.5x, but it breathes a few percent with CPU clock drift, so the
 # gate sits below the noise band of the signal it protects.
@@ -81,33 +81,24 @@ def _epoch_time(featurizer, vectorized, engine):
     return best, history.final_loss
 
 
-def test_compiled_training_throughput(workload):
+def test_fused_training_throughput(workload):
     featurizer, vectorized = workload
 
     taped_s, taped_loss = _epoch_time(featurizer, vectorized, "taped")
-    compiled_s, compiled_loss = _epoch_time(featurizer, vectorized, "compiled")
     fused_s, fused_loss = _epoch_time(featurizer, vectorized, "fused")
-    speedup = taped_s / compiled_s
-    fused_speedup = taped_s / fused_s
-    fused_vs_compiled = compiled_s / fused_s
+    speedup = taped_s / fused_s
     n_structures = len({p.graph.signature for p in vectorized})
 
     result = {
         "n_plans": N_PLANS,
         "n_structures": n_structures,
         "taped_epoch_s": round(taped_s, 4),
-        "compiled_epoch_s": round(compiled_s, 4),
         "fused_epoch_s": round(fused_s, 4),
         "taped_plans_per_s": round(N_PLANS / taped_s, 1),
-        "compiled_plans_per_s": round(N_PLANS / compiled_s, 1),
         "fused_plans_per_s": round(N_PLANS / fused_s, 1),
-        "speedup": round(speedup, 2),
-        "fused_speedup": round(fused_speedup, 2),
-        "fused_vs_compiled": round(fused_vs_compiled, 2),
-        "required_speedup": REQUIRED_SPEEDUP,
-        "required_fused_vs_compiled": REQUIRED_FUSED_SPEEDUP,
+        "fused_speedup": round(speedup, 2),
+        "required_fused_speedup": REQUIRED_SPEEDUP,
         "taped_final_loss": taped_loss,
-        "compiled_final_loss": compiled_loss,
         "fused_final_loss": fused_loss,
     }
     out_path = _update_bench("engines", result)
@@ -116,21 +107,16 @@ def test_compiled_training_throughput(workload):
         f"\n[training-throughput] {N_PLANS} plans, {n_structures} structures, "
         f"mode=both\n"
         f"  taped engine    : {taped_s:.3f}s/epoch  ({N_PLANS / taped_s:8.0f} plans/s)\n"
-        f"  compiled engine : {compiled_s:.3f}s/epoch  ({N_PLANS / compiled_s:8.0f} plans/s)\n"
         f"  fused engine    : {fused_s:.3f}s/epoch  ({N_PLANS / fused_s:8.0f} plans/s)\n"
-        f"  compiled/taped  : {speedup:.1f}x   (required >= {REQUIRED_SPEEDUP:.0f}x)\n"
-        f"  fused/compiled  : {fused_vs_compiled:.2f}x   (required >= {REQUIRED_FUSED_SPEEDUP:.2f}x)\n"
-        f"  fused/taped     : {fused_speedup:.1f}x\n"
+        f"  fused/taped     : {speedup:.1f}x   (required >= {REQUIRED_SPEEDUP:.2f}x)\n"
         f"  -> {out_path}"
     )
 
     # Same objective, same batches, same init: the engines must agree on
     # what they are optimizing, not just be fast.
-    assert np.isfinite(compiled_loss) and np.isfinite(fused_loss)
-    assert compiled_loss == pytest.approx(taped_loss, rel=1e-5)
+    assert np.isfinite(fused_loss)
     assert fused_loss == pytest.approx(taped_loss, rel=1e-5)
     assert speedup >= REQUIRED_SPEEDUP
-    assert fused_vs_compiled >= REQUIRED_FUSED_SPEEDUP
 
 
 def test_float32_training_throughput(workload):

@@ -453,16 +453,6 @@ class PreGroupedCorpus:
         group_ids, counts = np.unique(gsel, return_counts=True)
         return CorpusBatch(self, group_ids, counts, self._row_of[indices[order]], pool)
 
-    def gather(
-        self, indices: np.ndarray, pool: Optional[BufferPool] = None
-    ) -> list[StructureGroup]:
-        """The batch of global plan ``indices`` as per-structure groups.
-
-        Equivalent to ``group_by_structure([plans[i] for i in indices])``
-        (same group order, same row order within each group).
-        """
-        return self.batch(indices, pool).groups()
-
     def iter_batches(
         self,
         batch_size: int,
@@ -533,20 +523,6 @@ class CorpusBatch:
             labels = self.pool.take("labels", (len(label_rows), 1), dtype=corpus.dtype)[:, 0]
             np.take(corpus.labels, label_rows, out=labels)
         return features, labels
-
-    def groups(self) -> list[StructureGroup]:
-        """The batch as per-structure groups (per-position row gathers)."""
-        out = []
-        for gid, rows in zip(self.group_ids, np.split(self.rows, np.cumsum(self.counts)[:-1])):
-            src = self.corpus.groups[gid]
-            signature = src.graph.signature
-            features = [
-                _gather_rows(matrix, rows, self.pool, (signature, p))
-                for p, matrix in enumerate(src.features)
-            ]
-            labels = _gather_rows(src.labels, rows, self.pool, (signature, "labels"))
-            out.append(StructureGroup(src.graph, features, labels))
-        return out
 
 
 def sample_batches(

@@ -35,12 +35,10 @@ COMPUTE_DTYPES = ("float64", "float32")
 #: Training execution engines for mode ``both``.  "fused" (default) runs
 #: the cross-structure level-fused LevelPlan — one matmul per unit type
 #: per tree depth across every structure group of the batch, forward and
-#: backward; "compiled" runs each structure group separately through its
-#: tape-free CompiledSchedule (closed-form gradients, fused loss and
-#: optimizer); "taped" forces the reference autodiff path.  The ablation
-#: modes always run taped (their redundant computation is the thing being
-#: measured).
-TRAINING_ENGINES = ("fused", "compiled", "taped")
+#: backward, with closed-form gradients; "taped" forces the reference
+#: autodiff path.  The ablation modes always run taped (their redundant
+#: computation is the thing being measured).
+TRAINING_ENGINES = ("fused", "taped")
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,8 @@ class QPPNet(nn.Module):
                 activation=self.config.activation,
                 dtype=self.config.np_dtype,
             )
-        # Compile-once execution: schedules are derived per structure
-        # signature and reused by training and serving alike.
+        # Taped reference schedules, derived once per structure signature
+        # (the taped trainer, the ablation modes and per-plan predict).
         self.schedules = ScheduleCache()
         # Per-structure level indices behind every batch's level-fused
         # plan (fused trainer engine + whole-batch serving share them).
@@ -88,7 +88,7 @@ class QPPNet(nn.Module):
     # Forward passes
     # ------------------------------------------------------------------
     def compile_schedule(self, graph: PlanGraph) -> CompiledSchedule:
-        """The (cached) compiled execution schedule for ``graph``."""
+        """The (cached) taped reference schedule for ``graph``."""
         return self.schedules.get(graph, self.units)
 
     def compile_level_plan(
@@ -123,35 +123,37 @@ class QPPNet(nn.Module):
         ]
         return unit(unit.assemble_input(features, children))
 
-    def group_latencies(self, outputs: dict[int, nn.Tensor]) -> dict[int, nn.Tensor]:
-        """Slice the latency element (first output) per position: (B, 1)."""
-        return {pos: out[:, :1] for pos, out in outputs.items()}
-
     # ------------------------------------------------------------------
     # Inference API
     # ------------------------------------------------------------------
     def predict(self, plan: PlanNode) -> float:
         """Predicted query latency (ms) — the root unit's latency output.
 
-        One-plan convenience; batch serving should go through
-        :class:`repro.serving.InferenceSession`, which amortizes one
-        vectorized forward pass over every plan sharing a structure.
+        One-plan reference, taped (see :meth:`predict_operators`); batch
+        serving should go through :class:`repro.serving.InferenceSession`,
+        which runs every plan of a batch through one level-fused forward.
         """
         return self.predict_operators(plan)[0]
 
     def predict_operators(self, plan: PlanNode) -> list[float]:
-        """Predicted latency (ms) of every operator, preorder-indexed."""
+        """Predicted latency (ms) of every operator, preorder-indexed.
+
+        Runs the taped reference schedule under
+        :func:`repro.nn.inference_mode`, independent of the level-fused
+        executor it is the reference for.
+        """
         schedule = self.compile_schedule(plan_graph(plan))
-        # Cast features to the compute dtype up front so the schedule's
+        # Cast features to the compute dtype up front so the taped
         # matmuls never promote back to float64 on a float32 model.
         dtype = self.config.np_dtype
         features = [
             np.asarray(f, dtype=dtype).reshape(1, -1)
             for f in self.featurizer.transform_plan(plan)
         ]
-        outputs = schedule.run_inference(features)
+        with nn.inference_mode():
+            outputs = schedule.run_training(features)
         scale = self.featurizer.latency_scale_ms
-        values = [float(outputs[pos][0, 0]) * scale for pos in range(schedule.n_nodes)]
+        values = [float(outputs[pos].data[0, 0]) * scale for pos in range(schedule.n_nodes)]
         if not np.isfinite(values).all():
             raise NonFiniteOutput(
                 f"non-finite latency from model {self!r} for plan {schedule.signature}"

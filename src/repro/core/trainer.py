@@ -23,7 +23,7 @@ what Figure 9a measures.
 
 Training engines
 ----------------
-Three execution engines implement the objective (``QPPNetConfig.engine``;
+Two execution engines implement the objective (``QPPNetConfig.engine``;
 only mode ``both`` honours the setting — the ablation modes always run
 taped):
 
@@ -33,37 +33,28 @@ taped):
     three ablation modes — ``naive``, ``batching``, ``info_sharing`` —
     *always* run taped, because their deliberately redundant computation
     is the quantity Figure 9a measures.
-``compiled`` (mode ``both`` only)
-    per-group tape-free execution: forward and backward run through each
-    structure group's :class:`~repro.core.compile.CompiledSchedule` over
-    raw numpy arrays with closed-form per-unit gradients (no tape, no
-    per-op closures), level-fused *within* the group.  The per-group
-    loss is fused — all per-operator latency outputs are stacked once
-    and the Eq. 7 sum of squared errors is one subtraction plus one
-    reduction, instead of ``n_nodes`` taped terms chained with
-    ``total + term``.
 ``fused`` (default, mode ``both`` only)
     cross-structure level-fused execution: each batch compiles into one
     type-major :class:`~repro.core.levels.LevelPlan` that runs the
     *entire batch* — all structure groups at once — with one matmul per
-    unit type per tree depth, forward and backward.  The batch arrives
-    as one ``take`` per unit type from the corpus, the whole-batch loss
+    unit type per tree depth, forward and backward, over raw numpy
+    arrays with closed-form per-unit gradients (no tape, no per-op
+    closures).  Batches come from an epoch-level
+    :class:`~repro.core.batching.PreGroupedCorpus` (grouped and stored
+    type-major once) as one ``take`` per unit type, the whole-batch loss
     degenerates to a single subtraction and dot product over the output
     matrix's latency column, and the backward seed is written in one
-    shot.
+    shot.  Gradients accumulate in place into a
+    :class:`~repro.nn.FlatParameterSpace`, and global-norm clipping plus
+    the optimizer update run fused over the flat buffers.
 
-All tape-free engines share the surrounding machinery: batches come from
-an epoch-level :class:`~repro.core.batching.PreGroupedCorpus` (grouped
-and stored type-major once, gathered per batch), gradients accumulate
-in place into a :class:`~repro.nn.FlatParameterSpace`, and global-norm
-clipping plus the optimizer update run fused over the flat buffers.
-
-All engines compute the same gradients (pinned to <= 1e-9 agreement by
+Both engines compute the same gradients (pinned to <= 1e-9 agreement by
 ``tests/core/test_compiled_training.py``); ``benchmarks/
-test_training_throughput.py`` tracks the epoch-throughput speedups.  One
-semantic nuance: the fused optimizer treats parameters of units unused
-in a batch as zero-gradient (momentum keeps coasting), where the taped
-loop skips them — identical whenever every unit appears in every batch.
+test_training_throughput.py`` tracks the fused engine's epoch-throughput
+speedup over the taped one.  One semantic nuance: the fused optimizer
+treats parameters of units unused in a batch as zero-gradient (momentum
+keeps coasting), where the taped loop skips them — identical whenever
+every unit appears in every batch.
 """
 
 from __future__ import annotations
@@ -89,7 +80,6 @@ from .batching import (
     vectorize_corpus,
 )
 from .checkpoint import latest_valid_checkpoint, save_checkpoint
-from .compile import CompiledSchedule
 from .config import QPPNetConfig
 from .model import QPPNet
 
@@ -125,16 +115,6 @@ def _singleton(plan: VectorizedPlan, dtype: np.dtype) -> StructureGroup:
     )
 
 
-@dataclass
-class _GroupForward:
-    """One structure group's compiled forward, held until backward."""
-
-    schedule: CompiledSchedule
-    tape: object  # opaque activation record for CompiledSchedule.backward
-    diff: np.ndarray  # (B, n_nodes) prediction - label
-    sse: float
-
-
 class Trainer:
     """Gradient-descent training of a :class:`QPPNet`."""
 
@@ -154,8 +134,8 @@ class Trainer:
         # Allocated in the compute dtype: float64 per-plan rows cast on
         # write, so batch matrices enter the engines in-model precision.
         self._stack_pool = BufferPool(max_entries=4096, dtype=self.config.np_dtype)
-        # Flat parameter/gradient storage for the compiled engine,
-        # created on first compiled fit (rebinds param.data to views).
+        # Flat parameter/gradient storage for the fused engine, created
+        # on first fused fit (rebinds param.data to views).
         self._flat: Optional[nn.FlatParameterSpace] = None
 
     def _ensure_flat(self) -> nn.FlatParameterSpace:
@@ -172,7 +152,8 @@ class Trainer:
 
     @property
     def uses_compiled_engine(self) -> bool:
-        """Whether ``fit`` runs a tape-free (compiled or fused) path."""
+        """Whether ``fit`` runs the tape-free ``fused`` engine (a level
+        plan compiled per batch) rather than the taped reference."""
         return self.execution_engine != "taped"
 
     # ------------------------------------------------------------------
@@ -226,63 +207,6 @@ class Trainer:
         if self.config.loss == "rmse":
             return F.sqrt(mse + 1e-12)
         return mse
-
-    # ------------------------------------------------------------------
-    # Compiled engine (tape-free loss + backward)
-    # ------------------------------------------------------------------
-    def _compiled_group_forward(self, group: StructureGroup) -> _GroupForward:
-        """Schedule forward plus the fused per-group loss ingredients.
-
-        The fused loss stacks every operator's latency output into one
-        ``(B, n_nodes)`` matrix, so the Eq. 7 sum of squared errors is a
-        single subtraction and a single reduction — no per-operator tape
-        terms.
-        """
-        schedule = self.model.compile_schedule(group.graph)
-        outputs, tape = schedule.forward_training(group.features)
-        preds = np.stack([out[:, 0] for out in outputs], axis=1)
-        diff = preds - group.labels
-        flat = diff.ravel()
-        return _GroupForward(schedule, tape, diff, float(flat @ flat))
-
-    def compiled_loss_backward(self, groups: Sequence[StructureGroup]) -> float:
-        """Eq. 7 over pre-grouped batch ``groups``, compiled end to end.
-
-        Runs the fused forward/loss per group, then seeds each group's
-        per-position gradient buffers with the loss gradient of the
-        latency column and walks the backward schedule.  Parameter
-        gradients accumulate in place into ``param.grad`` (flat-space
-        views when the compiled fit loop bound them); returns the loss
-        value.  Gradients match the taped :meth:`batch_loss` +
-        ``backward()`` to <= 1e-9.
-        """
-        forwards = [self._compiled_group_forward(g) for g in groups]
-        total_ops = max(1, sum(g.n_operators for g in groups))
-        mse = sum(f.sse for f in forwards) / total_ops
-        if self.config.loss == "rmse":
-            loss = float(np.sqrt(mse + 1e-12))
-            # d loss / d sse = d sqrt(mse+eps)/d mse * 1/total_ops
-            coeff = 0.5 / loss / total_ops
-        else:
-            loss = mse
-            coeff = 1.0 / total_ops
-        for fwd in forwards:
-            seeds = fwd.schedule.alloc_output_grads(fwd.diff.shape[0])
-            latency_grad = (2.0 * coeff) * fwd.diff
-            for pos in range(fwd.schedule.n_nodes):
-                seeds[pos][:, 0] = latency_grad[:, pos]
-            fwd.schedule.backward(fwd.tape, seeds)
-        return loss
-
-    def _compiled_train_step(self, batch: CorpusBatch) -> float:
-        """One batch: zero flat grads, fused loss+backward, clip, step."""
-        flat = self._ensure_flat()
-        flat.zero_grad()
-        loss = self.compiled_loss_backward(batch.groups())
-        if self.config.grad_clip:
-            flat.clip_grad_norm_(self.config.grad_clip)
-        self.optimizer.step_flat(flat)
-        return loss
 
     # ------------------------------------------------------------------
     # Level-fused engine (whole batch, cross-structure)
@@ -372,7 +296,7 @@ class Trainer:
         so a crash inside the hook is resumable) — the fault-injection
         seam used by :mod:`repro.testing.faults`.
 
-        The tape-free engines build their epoch-level
+        The fused engine builds its epoch-level
         :class:`PreGroupedCorpus` straight from the samples via the
         compiled featurization tier
         (:meth:`PreGroupedCorpus.from_samples`) — one vectorized program
@@ -408,12 +332,11 @@ class Trainer:
         """:meth:`fit` over an already-vectorized corpus.
 
         Lets callers (benchmarks, repeated fits over the same corpus)
-        amortize featurization, and is the entry point that picks the
-        training engine: mode ``both`` runs the configured tape-free
-        engine (``fused`` whole-batch level plans by default,
-        ``compiled`` per-group schedules) over an epoch-level
-        :class:`PreGroupedCorpus`; everything else runs the taped
-        reference loop.  Checkpoint/resume parameters as in :meth:`fit`.
+        amortize featurization.  Mode ``both`` with the default
+        ``fused`` engine runs whole-batch level plans over an
+        epoch-level :class:`PreGroupedCorpus`; everything else runs the
+        taped reference loop.  Checkpoint/resume parameters as in
+        :meth:`fit`.
         """
         pre_grouped = (
             PreGroupedCorpus(corpus, dtype=self.config.np_dtype)
@@ -441,7 +364,7 @@ class Trainer:
         """Shared epoch loop behind :meth:`fit` / :meth:`fit_vectorized`.
 
         Exactly one of ``corpus`` (taped reference loop) / ``pre_grouped``
-        (tape-free engines) drives the batches; both entry points resolve
+        (fused engine) drives the batches; both entry points resolve
         which before calling in.
         """
         epochs = epochs if epochs is not None else self.config.epochs
@@ -453,9 +376,6 @@ class Trainer:
             scheduler = nn.StepLR(
                 self.optimizer, self.config.lr_decay_every, self.config.lr_decay_gamma
             )
-        tape_free = pre_grouped is not None
-        fused = tape_free and self.execution_engine == "fused"
-        step_fn = self._fused_train_step if fused else self._compiled_train_step
         history = TrainingHistory()
         start_epoch = 0
         wall_offset = 0.0
@@ -482,11 +402,11 @@ class Trainer:
         start = time.perf_counter() - wall_offset
         for epoch in range(start_epoch + 1, epochs + 1):
             epoch_losses = []
-            if tape_free:
+            if pre_grouped is not None:
                 for batch in pre_grouped.iter_batches(
                     self.config.batch_size, rng, pool=self._stack_pool
                 ):
-                    epoch_losses.append(step_fn(batch))
+                    epoch_losses.append(self._fused_train_step(batch))
             else:
                 for batch in sample_batches(corpus, self.config.batch_size, rng):
                     loss = self.batch_loss(batch)

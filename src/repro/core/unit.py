@@ -84,8 +84,8 @@ class NeuralUnit(nn.Module):
     ) -> tuple[np.ndarray, object]:
         """Raw-numpy forward caching layer activations for ``backward_train``.
 
-        Input width is guaranteed by the compiled schedule or level plan
-        that assembled ``x``, so no re-validation on this hot path.
+        Input width is guaranteed by the level plan that assembled
+        ``x``, so no re-validation on this hot path.
         ``out`` is forwarded to the final affine layer.
         """
         return self.net.forward_train(x, out=out)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.model import QPPNet
 from repro.plans.operators import LogicalType
+from repro.serving import InferenceSession
 from repro.workload.generator import PlanSample
 
 
@@ -43,13 +44,16 @@ class OperatorAccuracy:
 def operator_level_accuracy(
     model: QPPNet, samples: Sequence[PlanSample]
 ) -> list[OperatorAccuracy]:
-    """Score every unit's predictions over ``samples`` (analyzed plans)."""
+    """Score every unit's predictions over ``samples`` (analyzed plans).
+
+    All plans run as one level-fused batch
+    (:meth:`~repro.serving.InferenceSession.predict_operators_batch`).
+    """
+    plans = [sample.plan for sample in samples]
     actual: dict[LogicalType, list[float]] = {}
     predicted: dict[LogicalType, list[float]] = {}
-    for sample in samples:
-        nodes = list(sample.plan.preorder())
-        preds = model.predict_operators(sample.plan)
-        for node, pred in zip(nodes, preds):
+    for plan, preds in zip(plans, InferenceSession(model).predict_operators_batch(plans)):
+        for node, pred in zip(plan.preorder(), preds):
             if node.actual_total_ms is None:
                 raise ValueError("operator_level_accuracy requires analyzed plans")
             actual.setdefault(node.logical_type, []).append(node.actual_total_ms)

@@ -47,7 +47,7 @@ class Module:
         The context holds exactly the intermediates :meth:`backward_train`
         needs (inputs for affine maps, masks for activations) — no tape,
         no closures.  Only modules with a closed-form backward implement
-        this pair; the compiled training engine in :mod:`repro.core`
+        this pair; the fused training engine in :mod:`repro.core`
         requires it of every module on the unit's layer stack.
         """
         raise NotImplementedError(
@@ -182,7 +182,7 @@ class Linear(Module):
     def forward_train(
         self, x: np.ndarray, out: Optional[np.ndarray] = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        # Hot path: width is guaranteed by the compiled schedule, and the
+        # Hot path: width is guaranteed by the level plan, and the
         # matmul output (fresh or the caller's block) lets the bias add
         # run in place.
         y = np.matmul(x, self.weight.data, out=out) if out is not None else x @ self.weight.data

@@ -12,7 +12,7 @@ Two update paths are provided:
   data and gradient live as views into one flat buffer each, so the
   global-norm clip and the optimizer update are a handful of vectorized
   numpy operations regardless of how many (small) parameters the model
-  has.  Used by the compiled training engine in :mod:`repro.core.trainer`.
+  has.  Used by the fused training engine in :mod:`repro.core.trainer`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ malformed plans at the serving boundary
 error as a typed ``InvalidPlanError``) — :func:`validate_plan` sits on
 the hot admission path and is written as one iterative walk over
 pre-resolved per-operator tables rather than a property-accessor stroll
-(~3x cheaper per plan, identical errors).
+(~3x cheaper per plan).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class PlanValidationError(ValueError):
 #: set)`` in one lookup.  The property set is a frozenset so the
 #: per-node requirement check is a single C-level ``dict.keys() >= set``
 #: comparison instead of a Python loop of membership tests; the ordered
-#: tuple rides along only to reconstruct the reference error message
-#: (first missing key in declaration order) on the failure path.
+#: tuple rides along only to name the first missing key (in declaration
+#: order) on the failure path.
 _CHECKS_OF_OP: dict[PhysicalOp, tuple[int, frozenset, tuple[str, ...]]] = {
     op: (
         arity_of(PHYSICAL_TO_LOGICAL[op]),
@@ -57,9 +57,7 @@ def validate_plan(root: PlanNode, analyzed: bool = False) -> None:
 
     One iterative preorder walk checks arity, required properties and
     estimate sanity per node (plus actuals when ``analyzed``); the first
-    violation raises with the same message the per-check helpers below
-    produce (the helpers remain the readable reference and the unit the
-    tests target).
+    violation raises, naming the operator and the broken invariant.
     """
     checks_of_op = _CHECKS_OF_OP
     stack = [root]
@@ -94,37 +92,6 @@ def validate_plan(root: PlanNode, analyzed: bool = False) -> None:
                         f"{op.value}: cumulative cost below child {child.op.value}"
                     )
             stack.extend(reversed(children))
-
-
-def _check_arity(node: PlanNode) -> None:
-    expected = node.expected_arity
-    actual = len(node.children)
-    if actual != expected:
-        raise PlanValidationError(
-            f"{node.op.value}: expected {expected} children, found {actual}"
-        )
-
-
-def _check_props(node: PlanNode) -> None:
-    for key in UNIVERSAL_PROPS:
-        if key not in node.props:
-            raise PlanValidationError(f"{node.op.value}: missing property {key!r}")
-    for key in REQUIRED_BY_OP.get(node.op, ()):
-        if key not in node.props:
-            raise PlanValidationError(f"{node.op.value}: missing property {key!r}")
-
-
-def _check_estimates(node: PlanNode) -> None:
-    if node.props["Plan Rows"] < 0:
-        raise PlanValidationError(f"{node.op.value}: negative row estimate")
-    if node.props["Total Cost"] < 0:
-        raise PlanValidationError(f"{node.op.value}: negative cost")
-    # Total cost is cumulative: a parent must cost at least any child.
-    for child in node.children:
-        if node.props["Total Cost"] + 1e-6 < child.props["Total Cost"]:
-            raise PlanValidationError(
-                f"{node.op.value}: cumulative cost below child {child.op.value}"
-            )
 
 
 def _check_actuals(node: PlanNode) -> None:

@@ -31,16 +31,17 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
    and one concatenate plus one ``take`` per type put the rows in the
    plan's step order.  The whole batch then runs tape-free as one fused
    forward, and the root rows scatter back to request order.
-   ``predict`` is the direct single-plan shortcut through the same
-   cache.  Every predict entry point raises :class:`NonFinitePrediction`
-   rather than return NaN.  Sessions are single-threaded by design —
-   the service's drain loop is their serialization point.
+   ``predict`` is a batch of one through the same path.  Every predict
+   entry point raises :class:`NonFinitePrediction` rather than return
+   NaN.  Sessions are single-threaded by design — the service's drain
+   loop is their serialization point.
 
 3. :class:`~repro.core.levels.LevelPlan` (in ``repro.core``) — the
    fused executor both of the above bottom out in: one matmul per unit
    type per tree depth across every structure bucket, each step's input
    assembled with one feature-block copy and one gather per child slot;
-   identical numerics to per-plan ``model.predict`` at <= 1e-9.
+   identical numerics to the taped per-plan ``model.predict`` reference
+   at <= 1e-9.
 
 :class:`ModelRegistry` manages the named models behind all of it
 (in-memory or loaded from :func:`~repro.core.bundle.save_bundle`

@@ -19,11 +19,11 @@ composes into its failure-mode contract (see the package docstring of
   broken or the breaker is open.  :func:`default_fallback_chain` is the
   documented ladder *fused -> taped per-plan reference -> cost
   heuristic*: the taped tier re-runs each plan through
-  :meth:`QPPNet.predict` (the <= 1e-9 reference path, sidestepping any
-  defect in the fused/compiled tiers), and the last-resort tier maps the
-  optimizer's own cumulative cost estimate (``Total Cost``, computed by
-  :mod:`repro.optimizer.cost`) to milliseconds — no neural network at
-  all, but never an unserved request;
+  :meth:`QPPNet.predict` (the <= 1e-9 taped reference path, sidestepping
+  any defect in the fused level-plan executor), and the last-resort
+  tier maps the optimizer's own cumulative cost estimate (``Total
+  Cost``, computed by :mod:`repro.optimizer.cost`) to milliseconds — no
+  neural network at all, but never an unserved request;
 * :class:`ResiliencePolicy` — the service-level knobs bundling all of
   the above (plan validation, poison isolation, breaker thresholds,
   deadline admission) into one value with safe defaults.
@@ -380,11 +380,12 @@ FallbackTier = Callable[[object, Sequence[PlanNode]], Sequence[float]]
 
 
 def taped_reference_tier(session: object, plans: Sequence[PlanNode]) -> list[float]:
-    """Tier 2: per-plan taped/compiled reference through ``QPPNet.predict``.
+    """Tier 2: per-plan taped reference through ``QPPNet.predict``.
 
     Sidesteps the session entirely (its pools, caches and fused level
     plans — any of which the primary failure may implicate) and runs each
-    plan through the model's own single-plan path.  Slow but independent.
+    plan through the model's taped schedule, which shares no code with
+    :class:`~repro.core.levels.LevelPlan`.  Slow but independent.
     """
     model = getattr(session, "model", None)
     if model is None or not hasattr(model, "predict"):

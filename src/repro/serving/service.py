@@ -2,8 +2,8 @@
 
 :class:`InferenceSession.predict_batch` is batch-shaped — the caller must
 already hold a list of plans.  Production traffic is not: queries arrive
-one at a time on many threads, and every single-plan call forfeits the
-level-fused batch path.  :class:`PredictionService` closes that gap.
+one at a time on many threads, and every single-plan call is a batch
+of one, sharing no matmul.  :class:`PredictionService` closes that gap.
 Callers ``submit(plan)`` (or ``submit_many``) and get back a
 :class:`Prediction` — a future-like handle — while a background
 coalescing loop drains the queue on a micro-batch window

@@ -8,19 +8,29 @@ batches of a template workload.  Nothing is kept per structure *mix*:
 a batch's :class:`~repro.core.levels.LevelPlan` is compiled with numpy
 on every call and dropped with it.
 
-Two serving paths:
+Two paths, one fast and one reference:
 
-* **whole-batch level-fused** — ``predict_batch`` buckets the request
-  batch by structure signature, compiles one
+* **level-fused** (fast) — ``predict_batch`` buckets the request batch
+  by structure signature, compiles one
   :class:`~repro.core.levels.LevelPlan` for the buckets, builds one
   feature matrix per operator type in the plan's step order, and runs
   the whole mixed-structure batch as one forward: one matmul per unit
-  type per tree depth;
-* **direct single-plan** — ``predict`` routes one plan straight through
-  its compiled schedule's ``run_inference``, skipping bucketing and
-  per-batch compilation, whose overhead is pure waste at batch size 1.
+  type per tree depth.  Every session entry point runs through it;
+  ``predict`` is a batch of one;
+* **taped** (reference) — :meth:`~repro.core.model.QPPNet.predict`
+  runs one plan through the model's taped schedule, sharing none of
+  the session's caches, buffers or level plans.
 
-Both paths featurize through the compiled tier
+Batch-composition contract: a plan's served value depends on its
+batch-mates, but only through floating-point rounding (BLAS may sum a
+row's products in an order that depends on the stacked matrix's
+shape).  In float64, every value of a batch agrees with
+``predict_batch([plan])[0]`` to <= 1e-11 relative, and with the taped
+``QPPNet.predict`` to <= 1e-9 relative.  Values are bitwise
+reproducible only for the same batch, which is why poison isolation
+recomputes a batch's survivors as one batch.
+
+The session featurizes through the compiled tier
 (:mod:`repro.featurize.compiled`): per-type feature *programs* replace
 the per-node schema walk, and a bounded LRU **feature-vector cache**
 keyed on plan identity (structure signature + every property the
@@ -118,27 +128,8 @@ class InferenceSession:
     # Public API
     # ------------------------------------------------------------------
     def predict(self, plan: PlanNode) -> float:
-        """Single-plan fast path: straight through the compiled schedule.
-
-        Equivalent to ``predict_batch([plan])[0]`` but skips bucketing
-        and level-plan dispatch — the per-call overhead that dominates at
-        batch size 1 (see ``benchmarks/test_serving_throughput.py``).
-        Featurizes through the compiled programs and the feature-vector
-        cache (a repeat of a templated query runs one digest walk plus
-        one ``run_inference``), then one forward on the plan's compiled
-        schedule, matching :meth:`QPPNet.predict` to <= 1e-9.
-        """
-        self.requests_served += 1
-        graph, nodes = self._resolve_plan(plan)
-        features = self._featurize_plan(graph, nodes)
-        schedule = self.model.compile_schedule(graph)
-        with nn.inference_mode():
-            outputs = schedule.run_inference(features)
-        scale = self.featurizer.latency_scale_ms
-        value = float(outputs[0][0, 0]) * scale
-        if not np.isfinite(value):
-            raise NonFinitePrediction(repr(self.model), [graph.signature], [0])
-        return max(MIN_PREDICTION_MS, value)
+        """Predicted query latency (ms) of one plan: a batch of one."""
+        return float(self.predict_batch([plan])[0])
 
     def predict_batch(self, plans: Sequence[PlanNode]) -> np.ndarray:
         """Predicted query latency (ms) per plan, in request order.
@@ -368,31 +359,3 @@ class InferenceSession:
             program.ltype: program.run(type_nodes, dtype=self.dtype)
             for program, type_nodes in by_program.items()
         }
-
-    def _featurize_plan(self, graph, nodes: list[PlanNode]) -> list[np.ndarray]:
-        """Per-position ``(1, f_type)`` feature rows for one plan.
-
-        Single-plan twin of :meth:`_featurize_bucket`: same programs,
-        same cache, no pooled stacking buffers (each block is one small
-        allocation that the cache retains on a miss).
-        """
-        cache = self.feature_cache
-        blocks: Optional[dict] = None
-        digest: tuple = ()
-        if cache is not None:
-            digest = self.programs.digest(graph, nodes)
-            blocks = cache.get(digest)
-        features: list[np.ndarray] = [np.empty(0)] * graph.n_nodes
-        if blocks is None:
-            blocks = {}
-            for program, positions in self.programs.layout(graph):
-                blocks[program.ltype] = program.run(
-                    [nodes[pos] for pos in positions], dtype=self.dtype
-                )
-            if cache is not None:
-                cache.put(digest, blocks)
-        for program, positions in self.programs.layout(graph):
-            block = blocks[program.ltype]
-            for k, pos in enumerate(positions):
-                features[pos] = block[k : k + 1]
-        return features

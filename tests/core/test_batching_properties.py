@@ -128,18 +128,32 @@ class TestPreGroupedFromSamples:
                 assert np.array_equal(got.features[pos], want.features[pos])
 
     def test_gather_matches_reference_gather(self, samples):
-        from repro.core import PreGroupedCorpus
+        """A batch of the compiled corpus takes bitwise the rows the
+        reference corpus takes, and both lay ``group_by_structure`` of
+        the same plans out in the level plan's order."""
+        from repro.core import PreGroupedCorpus, QPPNet, QPPNetConfig
 
         featurizer = Featurizer().fit([s.plan for s in samples])
-        reference = PreGroupedCorpus(vectorize_corpus(samples, featurizer))
+        vectorized = vectorize_corpus(samples, featurizer)
+        reference = PreGroupedCorpus(vectorized)
         compiled = PreGroupedCorpus.from_samples(samples, featurizer)
         rng = np.random.default_rng(9)
         indices = rng.permutation(len(samples))[:16]
-        for got, want in zip(compiled.gather(indices), reference.gather(indices)):
-            assert got.graph.signature == want.graph.signature
-            assert np.array_equal(got.labels, want.labels)
-            for pos in range(want.graph.n_nodes):
-                assert np.array_equal(got.features[pos], want.features[pos])
+        groups = group_by_structure([vectorized[i] for i in indices])
+        model = QPPNet(featurizer, QPPNetConfig(hidden_layers=1, neurons=4, data_size=2))
+        batch = reference.batch(indices)
+        plan = model.compile_level_plan(batch.graphs, batch.counts)
+        want_features, want_labels = batch.take(plan)
+        got_features, got_labels = compiled.batch(indices).take(plan)
+        assert np.array_equal(got_labels, want_labels)
+        stacked = plan.stack_positions([g.features for g in groups])
+        assert got_features.keys() == want_features.keys() == stacked.keys()
+        for ltype, matrix in want_features.items():
+            assert np.array_equal(got_features[ltype], matrix)
+            assert np.array_equal(matrix, stacked[ltype])
+        for gi, group in enumerate(groups):
+            for pos in range(group.graph.n_nodes):
+                assert np.array_equal(want_labels[plan.node_rows(gi, pos)], group.labels[:, pos])
 
     def test_empty_rejected(self, samples):
         from repro.core import PreGroupedCorpus

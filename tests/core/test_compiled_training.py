@@ -1,12 +1,10 @@
-"""Compiled and level-fused (tape-free) training engines vs. the taped
-reference.
+"""The level-fused (tape-free) training engine vs. the taped reference.
 
-The tape-free paths — per-group ``CompiledSchedule.forward_training`` /
-``backward`` and the cross-structure ``LevelPlan`` behind the trainer's
-``fused`` engine — must compute the *same* gradients as the taped
-autodiff they replace.  These tests pin that equivalence at <= 1e-9
-(including a property-style sweep over random plan structures and
-depths) and check both engines end to end.
+The cross-structure ``LevelPlan`` behind the trainer's ``fused`` engine
+must compute the *same* gradients as the taped autodiff it replaces.
+These tests pin that equivalence at <= 1e-9 (including a property-style
+sweep over random plan structures and depths) and check both engines
+end to end.
 """
 
 import numpy as np
@@ -14,6 +12,7 @@ import pytest
 
 from repro import nn
 from repro.core import (
+    BufferPool,
     CompiledSchedule,
     CorpusBatch,
     LevelPlan,
@@ -71,24 +70,6 @@ def _max_grad_diff(model, reference):
 
 class TestGradientEquivalence:
     @pytest.mark.parametrize("loss", ["mse", "rmse"])
-    def test_compiled_matches_taped(self, corpus, featurizer, loss):
-        config = tiny_config(loss=loss)
-        model = QPPNet(featurizer, config)
-        trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus, featurizer)
-
-        model.zero_grad()
-        taped_loss = trainer.batch_loss(vec)
-        taped_loss.backward()
-        taped = _grad_snapshot(model)
-
-        model.zero_grad()
-        compiled_loss = trainer.compiled_loss_backward(group_by_structure(vec))
-
-        assert abs(taped_loss.item() - compiled_loss) <= GRAD_TOL
-        assert _max_grad_diff(model, taped) <= GRAD_TOL
-
-    @pytest.mark.parametrize("loss", ["mse", "rmse"])
     def test_fused_matches_taped(self, corpus, featurizer, loss):
         """The cross-structure level-fused engine computes the taped loss
         and gradients (one matmul per unit type per depth or not)."""
@@ -108,10 +89,7 @@ class TestGradientEquivalence:
         assert abs(taped_loss.item() - fused_loss) <= GRAD_TOL
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
-    @pytest.mark.parametrize("engine_loss", ["compiled_loss_backward", "fused_loss_backward"])
-    def test_tape_free_matches_taped_with_flat_binding(
-        self, corpus, featurizer, engine_loss
-    ):
+    def test_tape_free_matches_taped_with_flat_binding(self, corpus, featurizer):
         """Equivalence must also hold when grads land in flat-space views."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
@@ -124,7 +102,7 @@ class TestGradientEquivalence:
 
         flat = trainer._ensure_flat()
         flat.zero_grad()
-        getattr(trainer, engine_loss)(group_by_structure(vec))
+        trainer.fused_loss_backward(group_by_structure(vec))
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
     def test_fused_padded_batch_matches_subset(self, corpus, featurizer):
@@ -135,7 +113,7 @@ class TestGradientEquivalence:
         trainer = Trainer(model, config)
         vec = vectorize_corpus(corpus, featurizer)
         pre = PreGroupedCorpus(vec)
-        subset = pre.gather(np.arange(0, len(vec), 3))
+        subset = group_by_structure(vec[::3])
         present = {g.graph.signature: g for g in subset}
         padded = [
             present.get(
@@ -169,33 +147,39 @@ class TestGradientEquivalence:
         assert model.level_plans.hits > 0
 
     def test_backward_rejects_foreign_seed_buffers(self, corpus, featurizer):
-        """CompiledSchedule.backward requires the alloc_output_grads views
-        (they alias the global gradient buffer the level plan walks)."""
+        """LevelPlan.backward takes only a seed shaped like its own run's
+        outputs, and only a run its own forward produced."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
-        vec = vectorize_corpus(corpus, featurizer)
-        group = group_by_structure(vec)[0]
-        schedule = model.compile_schedule(group.graph)
-        _, tape = schedule.forward_training(group.features)
-        foreign = [
-            np.zeros((group.n_plans, model.config.data_size + 1))
-            for _ in range(schedule.n_nodes)
+        groups = group_by_structure(vectorize_corpus(corpus, featurizer))
+        plans = [
+            model.compile_level_plan([g.graph for g in part], [g.n_plans for g in part])
+            for part in (groups, groups[:1])
         ]
+        runs = [
+            plan.forward_training(plan.stack_positions([g.features for g in part]))
+            for plan, part in zip(plans, (groups, groups[:1]))
+        ]
+        plan, run = plans[0], runs[0]
         with pytest.raises(ValueError):
-            schedule.backward(tape, foreign)
+            plan.backward(run, plan.alloc_output_grads()[1:])  # wrong shape
+        with pytest.raises(ValueError):
+            plan.backward(runs[1], plan.alloc_output_grads())  # another plan's run
+        with pytest.raises(ValueError):
+            plans[1].backward(run, plans[1].alloc_output_grads())
 
     def test_compiled_gradients_match_numerical(self, corpus, featurizer):
-        """gradcheck the compiled path itself against central differences."""
+        """gradcheck the fused path itself against central differences."""
         config = tiny_config(hidden_layers=1, neurons=6, data_size=2)
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
         groups = group_by_structure(vectorize_corpus(corpus[:4], featurizer))
 
         def loss_fn():
-            return nn.Tensor(np.array(trainer.compiled_loss_backward(groups)))
+            return nn.Tensor(np.array(trainer.fused_loss_backward(groups)))
 
         model.zero_grad()
-        trainer.compiled_loss_backward(groups)
+        trainer.fused_loss_backward(groups)
         # Snapshot before probing: every loss_fn() call accumulates
         # another backward pass into param.grad.
         analytic = _grad_snapshot(model)
@@ -222,7 +206,7 @@ class TestGradientEquivalence:
             if sum(1 for t, kids in zip(p.graph.types, p.graph.children)
                    if not kids) >= 2
         )
-        plan = model.compile_schedule(multi_scan.graph).level_plan(1)
+        plan = model.compile_level_plan([multi_scan.graph], [1])
 
         def positions(step):
             return [int(plan.node_pos[n]) for n in plan.order[step.node_lo : step.node_hi]]
@@ -514,10 +498,11 @@ class TestDtypeTiers:
         for group in pre.groups:
             assert group.labels.dtype == np.float32
             assert all(f.dtype == np.float32 for f in group.features)
-        gathered = pre.gather(np.arange(min(8, len(vec))))
-        for group in gathered:
-            assert group.labels.dtype == np.float32
-            assert all(f.dtype == np.float32 for f in group.features)
+        batch = pre.batch(np.arange(min(8, len(vec))))
+        model = QPPNet(featurizer, tiny_config(dtype="float32"))
+        features, labels = batch.take(model.compile_level_plan(batch.graphs, batch.counts))
+        assert labels.dtype == np.float32
+        assert all(f.dtype == np.float32 for f in features.values())
 
     @pytest.mark.parametrize("mode", ["naive", "info_sharing"])
     def test_ablation_modes_honour_dtype(self, corpus, featurizer, mode):
@@ -561,41 +546,60 @@ class TestDtypeTiers:
             LevelPlan([graph], (1,), units)
 
 
+def _assert_take_matches(model, batch, groups):
+    """``batch.take`` equals the per-structure ``groups`` laid out by the
+    batch's level plan: features via ``stack_positions``, labels by row."""
+    assert [g.graph.signature for g in groups] == [g.signature for g in batch.graphs]
+    plan = model.compile_level_plan(batch.graphs, batch.counts)
+    features, labels = batch.take(plan)
+    stacked = plan.stack_positions([g.features for g in groups])
+    assert features.keys() == stacked.keys()
+    for ltype, matrix in features.items():
+        assert np.array_equal(matrix, stacked[ltype])
+    for gi, group in enumerate(groups):
+        for pos in range(group.graph.n_nodes):
+            assert np.array_equal(labels[plan.node_rows(gi, pos)], group.labels[:, pos])
+
+
 class TestPreGroupedCorpus:
     def test_gather_matches_group_by_structure(self, corpus, featurizer):
         vec = vectorize_corpus(corpus, featurizer)
         pre = PreGroupedCorpus(vec)
         idx = np.random.default_rng(3).permutation(len(vec))[:20]
-        gathered = pre.gather(idx)
         reference = group_by_structure([vec[i] for i in idx])
-        assert len(gathered) == len(reference)
-        for got, want in zip(gathered, reference):
-            assert got.graph.signature == want.graph.signature
-            assert np.array_equal(got.labels, want.labels)
-            for a, b in zip(got.features, want.features):
-                assert np.array_equal(a, b)
+        _assert_take_matches(QPPNet(featurizer, tiny_config()), pre.batch(idx), reference)
 
     def test_batches_partition_corpus(self, corpus, featurizer):
+        """Every plan lands in exactly one batch of an epoch."""
         vec = vectorize_corpus(corpus, featurizer)
         pre = PreGroupedCorpus(vec)
         rng = np.random.default_rng(0)
-        total = 0
+        seen = []
         for batch in pre.iter_batches(10, rng):
-            assert sum(batch.counts) == batch.n_plans == sum(g.n_plans for g in batch.groups())
-            total += batch.n_plans
-        assert total == len(vec)
+            assert sum(batch.counts) == batch.n_plans <= 10
+            per_group = np.split(batch.rows, np.cumsum(batch.counts)[:-1])
+            for gid, rows in zip(batch.group_ids.tolist(), per_group):
+                seen.extend((gid, row) for row in rows.tolist())
+        assert sorted(seen) == [
+            (gid, row) for gid, group in enumerate(pre.groups) for row in range(group.n_plans)
+        ]
 
     def test_pooled_gather_equals_unpooled(self, corpus, featurizer):
-        from repro.core import BufferPool
-
         vec = vectorize_corpus(corpus, featurizer)
         pre = PreGroupedCorpus(vec)
         idx = np.arange(min(12, len(vec)))
         pool = BufferPool()
-        for got, want in zip(pre.gather(idx, pool=pool), pre.gather(idx)):
-            assert np.array_equal(got.labels, want.labels)
-            for a, b in zip(got.features, want.features):
-                assert np.array_equal(a, b)
+        unpooled, pooled = pre.batch(idx), pre.batch(idx, pool=pool)
+        plan = QPPNet(featurizer, tiny_config()).compile_level_plan(
+            unpooled.graphs, unpooled.counts
+        )
+        want_features, want_labels = unpooled.take(plan)
+        got_features, got_labels = pooled.take(plan)
+        assert len(pool)
+        assert np.array_equal(got_labels, want_labels)
+        assert got_features.keys() == want_features.keys()
+        for ltype, matrix in want_features.items():
+            assert np.array_equal(got_features[ltype], matrix)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -608,11 +612,6 @@ class TestCompiledFit:
         trainer = Trainer(QPPNet(featurizer, config), config)
         assert trainer.execution_engine == "fused"
         assert trainer.uses_compiled_engine
-        for engine in ("fused", "compiled"):
-            config = tiny_config(mode="both", engine=engine)
-            trainer = Trainer(QPPNet(featurizer, config), config)
-            assert trainer.execution_engine == engine
-            assert trainer.uses_compiled_engine
         config = tiny_config(mode="both", engine="taped")
         trainer = Trainer(QPPNet(featurizer, config), config)
         assert trainer.execution_engine == "taped"
@@ -625,8 +624,9 @@ class TestCompiledFit:
             assert not trainer.uses_compiled_engine
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_config(engine="jit")
+        for engine in ("jit", "compiled"):
+            with pytest.raises(ValueError):
+                tiny_config(engine=engine)
 
     def test_compiled_fit_reduces_loss(self, corpus, featurizer):
         config = tiny_config(epochs=5)
@@ -636,8 +636,8 @@ class TestCompiledFit:
 
     def test_engines_same_trajectory_full_batch(self, corpus, featurizer):
         """With full-corpus batches every unit is used every step, where
-        the loop and fused optimizer semantics coincide — all three
-        engines must then produce near-identical training trajectories."""
+        the loop and fused optimizer semantics coincide — both engines
+        must then produce near-identical training trajectories."""
 
         def run(engine):
             config = tiny_config(epochs=4, batch_size=len(corpus), engine=engine)
@@ -645,11 +645,7 @@ class TestCompiledFit:
             history = Trainer(model, config).fit(corpus)
             return history.train_loss
 
-        taped = run("taped")
-        compiled = run("compiled")
-        fused = run("fused")
-        assert taped == pytest.approx(compiled, rel=1e-6)
-        assert taped == pytest.approx(fused, rel=1e-6)
+        assert run("taped") == pytest.approx(run("fused"), rel=1e-6)
 
     def test_compiled_fit_with_lr_decay_and_adam(self, corpus, featurizer):
         config = tiny_config(optimizer="adam", lr_decay_every=1, lr_decay_gamma=0.5, epochs=2)

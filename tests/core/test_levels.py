@@ -13,7 +13,6 @@ import pytest
 from repro import nn
 from repro.core import (
     BufferPool,
-    CompiledSchedule,
     CorpusBatch,
     LevelPlan,
     LevelPlanCache,
@@ -115,20 +114,13 @@ class TestCompiler:
         assert type_rows == plan.type_rows
 
     def test_layout_is_memoized_and_bounded(self, model, groups):
-        """Per-structure arrays are built once per signature (bounded LRU),
-        and a schedule memoizes its per-batch-size plans (bounded)."""
+        """Per-structure arrays are built once per signature (bounded LRU)."""
         cache = LevelPlanCache(maxsize=2)
         first = cache.levels(groups[0].graph)
         assert cache.levels(groups[0].graph) is first
         for group in groups[:5]:
             cache.levels(group.graph)
         assert len(cache) <= 2
-        schedule = CompiledSchedule(groups[0].graph, model.units)
-        plan = schedule.level_plan(7)
-        assert schedule.level_plan(7) is plan
-        for batch in range(1, schedule.MAX_CACHED_PLANS + 5):
-            schedule.level_plan(batch)
-        assert len(schedule._plans) <= schedule.MAX_CACHED_PLANS
 
     def test_invalid_inputs_rejected(self, model, groups):
         with pytest.raises(ValueError):

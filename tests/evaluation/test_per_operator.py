@@ -51,6 +51,22 @@ class TestOperatorLevelAccuracy:
         with pytest.raises(ValueError):
             operator_level_accuracy(model, [bad])
 
+    def test_batched_mae_matches_per_plan_reference(self, model_and_corpus):
+        """The batched scoring equals scoring every plan through the
+        taped per-plan ``predict_operators``."""
+        model, corpus = model_and_corpus
+        errors: dict = {}
+        for sample in corpus:
+            preds = model.predict_operators(sample.plan)
+            for node, pred in zip(sample.plan.preorder(), preds):
+                errors.setdefault(node.logical_type, []).append(
+                    abs(node.actual_total_ms - pred)
+                )
+        results = operator_level_accuracy(model, corpus)
+        assert {r.logical_type for r in results} == set(errors)
+        for r in results:
+            assert r.mae_ms == pytest.approx(np.mean(errors[r.logical_type]), rel=1e-9)
+
     def test_scan_unit_present(self, model_and_corpus):
         model, corpus = model_and_corpus
         results = {r.logical_type: r for r in operator_level_accuracy(model, corpus)}

@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import QPPNet, QPPNetConfig, plan_graph, save_bundle
+from repro.core import QPPNet, QPPNetConfig, Trainer, plan_graph, save_bundle
 from repro.featurize import Featurizer
 from repro.serving import InferenceSession, ModelRegistry
 from repro.workload import Workbench
@@ -81,6 +83,45 @@ class TestBatchAgreement:
         first = session.predict_batch(plans)
         again = session.predict_batch(list(reversed(plans)))[::-1]
         assert np.array_equal(first, again)
+
+
+@pytest.fixture(scope="module")
+def composition_pools():
+    """Per workload: a briefly trained model, its plan pool, and each
+    plan's value served alone and by the taped reference."""
+    pools = {}
+    for name in ("tpch", "tpcds"):
+        samples = Workbench(name, scale_factor=0.2, seed=0).generate(
+            48, rng=np.random.default_rng(21)
+        )
+        featurizer = Featurizer().fit([s.plan for s in samples])
+        config = QPPNetConfig(epochs=3, batch_size=16)
+        model = QPPNet(featurizer, config)
+        Trainer(model, config).fit(samples)
+        plans = [s.plan for s in samples]
+        session = InferenceSession(model)
+        single = np.array([session.predict_batch([p])[0] for p in plans])
+        taped = np.array([model.predict(p) for p in plans])
+        pools[name] = (model, plans, single, taped)
+    return pools
+
+
+class TestBatchComposition:
+    """The session's batch-composition contract (float64): a plan's
+    served value depends on its batch-mates only through rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_mates_change_values_only_by_rounding(self, composition_pools, data):
+        name = data.draw(st.sampled_from(sorted(composition_pools)))
+        model, plans, single, taped = composition_pools[name]
+        size = data.draw(st.integers(2, 300))
+        picks = np.array(
+            data.draw(st.lists(st.integers(0, len(plans) - 1), min_size=size, max_size=size))
+        )
+        served = InferenceSession(model).predict_batch([plans[i] for i in picks])
+        assert np.all(np.abs(served - single[picks]) <= 1e-11 * single[picks])
+        assert np.all(np.abs(served - taped[picks]) <= 1e-9 * taped[picks])
 
 
 class TestFeatureCache:
@@ -185,11 +226,12 @@ class TestScheduleCache:
         session.predict_batch(plans[::-1][:5])
         assert model.level_plans.misses == len(structures)  # warm now
         assert model.level_plans.hits == len({p.structure_signature() for p in plans[::-1][:5]})
-        # The single-plan fast path goes through per-structure schedules.
+        # Serving never runs the taped reference: single-plan predict is
+        # a batch of one through the same level plans.
         session.predict(plans[0])
-        assert model.schedules.misses == 1
         session.predict(plans[0])
-        assert model.schedules.misses == 1  # warm now
+        assert model.level_plans.misses == len(structures)
+        assert model.schedules.hits == model.schedules.misses == 0
 
     def test_lru_eviction(self, model, corpus):
         from repro.core import ScheduleCache

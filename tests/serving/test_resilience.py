@@ -13,7 +13,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import NonFiniteOutput, QPPNet, QPPNetConfig, plan_graph
+from repro.core import LevelPlan, NonFiniteOutput, QPPNet, QPPNetConfig, plan_graph
 from repro.featurize import Featurizer
 from repro.plans.operators import LogicalType
 from repro.plans.validate import PlanValidationError
@@ -459,6 +459,22 @@ class TestFallback:
         assert [values[i] for i in sorted(values)] == taped
         assert stats.fallback_completed == 8
         assert stats.failed == 0
+
+    def test_taped_tier_survives_broken_level_plan(self, model, plans, monkeypatch):
+        """The taped tier shares no code with the fused executor: with
+        every LevelPlan forward broken, it still serves the reference."""
+        expected = [model.predict(p) for p in plans[:8]]
+
+        def broken(self, features):
+            raise RuntimeError("level plan down")
+
+        monkeypatch.setattr(LevelPlan, "forward_inference", broken)
+        session = InferenceSession(model)
+        with pytest.raises(RuntimeError, match="level plan down"):
+            session.predict_batch(plans[:8])
+        values, tier = default_fallback_chain().predict(session, plans[:8])
+        assert tier == "taped"
+        assert values == expected
 
     def test_open_breaker_routes_to_fallback(self, model, plans):
         clock = FakeClock()
