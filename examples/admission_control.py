@@ -7,8 +7,8 @@ then plays the loop the way production plays it — *online*, through
 :class:`repro.serving.PredictionService`: queries arrive in bursts, each
 is ``submit``-ed to the service and its :class:`Prediction` future
 awaited, and the controller admits those whose *predicted* latency fits
-the budget.  Independently arriving queries coalesce inside the service's
-micro-batch window into level-fused batches, so the controller pays
+the budget.  The service dispatches on arrival: queries that arrive while
+a forward runs share the next level-fused batch, so the controller pays
 nothing for asking one query at a time.  We compare against an oracle
 (true latencies) and a naive optimizer-cost-threshold controller (TAM).
 
@@ -48,11 +48,11 @@ def main() -> None:
     outcomes = {"QPP Net": [0, 0], "TAM": [0, 0], "oracle": [0, 0]}
     # [0] = correct decisions, [1] = SLA violations (admitted but too slow)
 
-    with PredictionService(model, max_batch_size=ARRIVAL_BURST, max_wait_ms=2.0) as service:
+    with PredictionService(model, max_batch_size=ARRIVAL_BURST) as service:
         for start in range(0, dataset.n_test, ARRIVAL_BURST):
             burst = dataset.test[start : start + ARRIVAL_BURST]
             # Arrivals: each query is submitted individually — the service
-            # coalesces whatever lands inside the window.
+            # batches whatever queued while its previous forward ran.
             in_flight = [(sample, service.submit(sample.plan)) for sample in burst]
             for sample, prediction in in_flight:
                 qpp_ms = prediction.result()  # await, then decide

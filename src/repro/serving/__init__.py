@@ -7,10 +7,12 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
 1. :class:`PredictionService` — **the documented production API.**
    Callers :meth:`~PredictionService.submit` individual plans (from any
    number of threads) and get :class:`Prediction` futures back; a
-   coalescing loop drains the bounded queue on a micro-batch window
-   (``max_batch_size`` / ``max_wait_ms``) and executes each coalesced
-   mixed-structure batch as ONE level-fused forward.  The service owns
-   model routing (a name per request, resolved through a
+   drain loop takes whatever is queued, up to ``max_batch_size``, as
+   soon as it is free and executes that mixed-structure batch as ONE
+   level-fused forward.  Requests that arrive during a forward form the
+   next batch, so batch size follows load with no timer
+   (``max_wait_ms`` adds an opt-in linger).  The service owns model
+   routing (a name per request, resolved through a
    :class:`ModelRegistry`, hot-swappable under traffic), backpressure
    (bounded queue + admission hook, rejecting with typed
    :class:`~repro.serving.service.ServiceError` subclasses), clean
@@ -23,7 +25,8 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
    structure signature (in the canonical order of
    :func:`repro.core.batching.bucket_plans`) and compiles it into a
    :class:`~repro.core.levels.LevelPlan` — numpy over each structure's
-   cached index arrays.  It then builds the features as one matrix per
+   cached index arrays; a batch of one reuses its structure's memoized
+   plan instead.  It then builds the features as one matrix per
    operator type: each plan's rows come from a bounded plan-identity
    feature-vector cache when its digest hits (byte-for-byte the rows a
    miss would compute), the misses of the whole batch run through one
@@ -69,7 +72,8 @@ the whole burst is rejected all-or-nothing):
   refused the request.
 * :class:`DeadlineExceededError` (``shed_at="admission"``) — the
   service's own queue-wait prediction (drain-rate EWMA x queue depth +
-  coalescing window) already exceeds the request's ``deadline_ms``.
+  what remains of a configured window) already exceeds the request's
+  ``deadline_ms``.
 * :class:`CircuitOpenError` — the routed model's breaker is open and no
   fallback chain is configured (with a chain, the request is admitted
   and served degraded).

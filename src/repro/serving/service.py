@@ -5,12 +5,15 @@ already hold a list of plans.  Production traffic is not: queries arrive
 one at a time on many threads, and every single-plan call is a batch
 of one, sharing no matmul.  :class:`PredictionService` closes that gap.
 Callers ``submit(plan)`` (or ``submit_many``) and get back a
-:class:`Prediction` — a future-like handle — while a background
-coalescing loop drains the queue on a micro-batch window
-(``max_batch_size`` / ``max_wait_ms``) and runs each coalesced
-mixed-structure batch through ONE fused forward via the routed model's
-session.  Independently submitted plans thus share matmuls exactly as if
-one caller had batched them by hand.
+:class:`Prediction` — a future-like handle — while a background drain
+loop dispatches on arrival: as soon as it is free it takes whatever is
+queued, up to ``max_batch_size``, and runs that mixed-structure batch
+through ONE fused forward via the routed model's session.  Requests that
+arrive during a forward form the next batch, so batch size follows load
+with no timer: one plan at a time when traffic is light, full batches
+under a burst.  Independently submitted plans thus share matmuls exactly
+as if one caller had batched them by hand.  ``max_wait_ms`` adds an
+opt-in linger for callers that prefer larger batches to lower latency.
 
 The service owns the operational surface around that loop:
 
@@ -443,9 +446,12 @@ class PredictionService:
         Hard cap on one coalesced batch; the drain loop takes a batch as
         soon as this many requests are pending.
     max_wait_ms:
-        Micro-batch window: after the first request of a batch arrives,
-        how long the drain loop lingers for more before executing.  ``0``
-        disables coalescing latency entirely (drain whatever is queued).
+        Opt-in linger.  At the default ``0`` the drain loop takes
+        whatever is queued the moment it is free, so batch size follows
+        load.  A positive value holds each batch open until this long
+        after its oldest request arrived, cut short by a full batch or
+        :meth:`stop`; deadline admission charges a request what remains
+        of that window.
     max_queue_depth:
         Bounded-queue backpressure limit; beyond it ``submit`` raises
         :class:`QueueFullError`.
@@ -468,7 +474,7 @@ class PredictionService:
         *,
         default_model: Optional[str] = None,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_queue_depth: int = 4096,
         admission_hook: Optional[AdmissionHook] = None,
         resilience: Optional[ResiliencePolicy] = None,
@@ -721,20 +727,26 @@ class PredictionService:
             if depth + len(plans) > self.max_queue_depth:
                 self._rejected += len(plans)
                 raise QueueFullError(depth)
+            now = time.monotonic()
             if deadline_ms is not None and policy.admission_control:
                 # Deadline-aware admission: we are a latency predictor,
                 # so we predict our own.  The EWMA of drain-loop time
                 # per request (measured around every executed batch)
-                # times the work already queued ahead — plus one
-                # coalescing window — is the expected wait before this
-                # burst even starts executing.  If that alone exceeds
-                # the deadline, executing it would only produce an
-                # expired result: shed now, at the submit site.
+                # times the work already queued ahead — plus the linger
+                # this burst will actually pay — is the expected wait
+                # before it even starts executing.  If that alone
+                # exceeds the deadline, executing it would only produce
+                # an expired result: shed now, at the submit site.
                 rate = self._drain_ms_per_request
                 if rate is not None:
-                    predicted_wait_ms = (
-                        depth + len(plans)
-                    ) * rate + self.max_wait_ms
+                    # The linger: none without a window, all of it on an
+                    # empty queue, else what remains of the oldest queued
+                    # request's window (the drain loop's anchor).
+                    linger_ms = self.max_wait_ms
+                    if depth and linger_ms:
+                        waited_ms = (now - self._queue[0].submitted_at) * 1e3
+                        linger_ms = max(0.0, linger_ms - waited_ms)
+                    predicted_wait_ms = (depth + len(plans)) * rate + linger_ms
                     if predicted_wait_ms > deadline_ms:
                         self._rejected += len(plans)
                         self._deadline_rejected += len(plans)
@@ -744,7 +756,6 @@ class PredictionService:
                             deadline_ms=deadline_ms,
                             shed_at="admission",
                         )
-            now = time.monotonic()
             deadline_at = None if deadline_ms is None else now + deadline_ms / 1e3
             requests = [
                 Prediction(plan, name, now, deadline_at, service=self)
@@ -752,7 +763,14 @@ class PredictionService:
             ]
             self._queue.extend(requests)
             self._submitted += len(requests)
-            self._not_empty.notify()
+            # Wake the drain loop only when it has new work: it waits
+            # untimed on an empty queue, and a lingering drain waits for
+            # a full batch.  Any other arrival joins a batch the loop
+            # will take anyway, so notifying would only make it recount.
+            if depth == 0 or (
+                self.max_wait_ms > 0 and depth < self.max_batch_size <= len(self._queue)
+            ):
+                self._not_empty.notify()
         return requests
 
     def predict(
@@ -876,6 +894,11 @@ class PredictionService:
     # The coalescing drain loop (worker thread)
     # ------------------------------------------------------------------
     def _drain_loop(self) -> None:
+        # Dispatch on arrival: whenever this thread is free it takes what
+        # is queued, up to max_batch_size, and runs it; whatever arrives
+        # during that forward forms the next batch.  Batch size thus
+        # follows load with no timer.  The only untimed wait is on an
+        # empty queue, which submit_many wakes on its first arrival.
         while True:
             with self._not_empty:
                 while not self._queue and not self._stopping:
@@ -886,12 +909,13 @@ class PredictionService:
                     self._settled.set()
                     return
                 if not self._stopping and self.max_wait_ms > 0:
-                    # Micro-batch window: linger after the first arrival
-                    # so concurrent submitters coalesce into one fused
-                    # forward.  Cut short by a full batch or by stop().
-                    # Anchored at the oldest request's arrival, not this
-                    # thread's wake-up: requests that queued while the
-                    # previous batch executed don't pay a fresh window.
+                    # Opt-in linger: hold the batch open so concurrent
+                    # submitters coalesce into one fused forward.  Cut
+                    # short by a full batch (the submit that fills it
+                    # notifies) or by stop().  Anchored at the oldest
+                    # request's arrival, not this thread's wake-up:
+                    # requests that queued while the previous batch
+                    # executed don't pay a fresh window.
                     deadline = self._queue[0].submitted_at + self.max_wait_ms / 1e3
                     while len(self._queue) < self.max_batch_size and not self._stopping:
                         remaining = deadline - time.monotonic()

@@ -5,8 +5,11 @@ overview.  A session is cheap to construct but meant to be long-lived:
 its feature cache, per-type stacking buffers and the model's
 per-structure level arrays reach a steady state after the first few
 batches of a template workload.  Nothing is kept per structure *mix*:
-a batch's :class:`~repro.core.levels.LevelPlan` is compiled with numpy
-on every call and dropped with it.
+a multi-plan batch's :class:`~repro.core.levels.LevelPlan` is compiled
+with numpy on every call and dropped with it.  The one exception is per
+structure: a batch of one plan, the common case when the service
+dispatches on arrival, reuses its structure's one-plan level plan,
+memoized beside the structure's graph under the same bound.
 
 Two paths, one fast and one reference:
 
@@ -90,9 +93,11 @@ class InferenceSession:
     MAX_POOLED_BUFFERS = 1024
 
     #: Bound on the memoized structure table (preorder ``(op, arity)``
-    #: walk -> compiled :class:`PlanGraph`), which lets repeat structures
-    #: skip the per-plan signature-string walk on the hot path.  FIFO
-    #: eviction: the table is tiny and rebuilt on demand.
+    #: walk -> compiled :class:`PlanGraph`, plus its one-plan
+    #: :class:`LevelPlan` once a batch of one has used it), which lets
+    #: repeat structures skip the per-plan signature-string walk on the
+    #: hot path, and a batch of one skip its compile.  FIFO eviction:
+    #: the table is tiny and rebuilt on demand.
     MAX_STRUCTURES = 1024
 
     def __init__(
@@ -121,8 +126,9 @@ class InferenceSession:
         )
         #: Requests served since construction (monitoring hook).
         self.requests_served = 0
-        # Memoized structure resolution (see MAX_STRUCTURES).
-        self._structures: dict[tuple, object] = {}
+        # Memoized structure resolution (see MAX_STRUCTURES): walk key ->
+        # [graph, one-plan level plan or None].
+        self._structures: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -207,9 +213,10 @@ class InferenceSession:
     # Structure resolution (memoized)
     # ------------------------------------------------------------------
     def _resolve_plan(self, plan: PlanNode):
-        """One preorder walk -> ``(PlanGraph, preorder node list)``.
+        """One preorder walk -> ``(memo entry, preorder node list)``.
 
-        The flat preorder ``(op, arity)`` stream uniquely determines a
+        The entry is ``[PlanGraph, one-plan LevelPlan or None]``.  The
+        flat preorder ``(op, arity)`` stream uniquely determines a
         plan's structure, so it doubles as the memo key: repeat
         structures (the templated-workload steady state) skip the
         signature-string build and graph extraction of
@@ -231,12 +238,12 @@ class InferenceSession:
                 stack.extend(reversed(kids))
         key = tuple(key_parts)
         structures = self._structures
-        graph = structures.get(key)
-        if graph is None:
+        entry = structures.get(key)
+        if entry is None:
             if len(structures) >= self.MAX_STRUCTURES:
                 del structures[next(iter(structures))]
-            graph = structures[key] = plan_graph(plan)
-        return graph, nodes
+            entry = structures[key] = [plan_graph(plan), None]
+        return entry, nodes
 
     def _bucket(self, plans: Sequence[PlanNode]) -> list[PlanBucket]:
         """Memoized twin of :func:`~repro.core.batching.bucket_plans`.
@@ -250,7 +257,7 @@ class InferenceSession:
         """
         buckets: dict[str, PlanBucket] = {}
         for index, plan in enumerate(plans):
-            graph, nodes = self._resolve_plan(plan)
+            (graph, _), nodes = self._resolve_plan(plan)
             bucket = buckets.get(graph.signature)
             if bucket is None:
                 bucket = buckets[graph.signature] = PlanBucket(graph, [], [])
@@ -285,12 +292,22 @@ class InferenceSession:
 
         Canonical (sorted-by-signature) bucket order matches the order
         group_by_structure/PreGroupedCorpus produce, so serving and
-        training lay the same structure mix out identically.
+        training lay the same structure mix out identically.  A batch
+        of one reuses its structure's memoized plan, row geometry
+        included; a plan holds no per-call state, and the model's units
+        are bound once, so a hit runs exactly what a compile would.
         """
-        buckets = self._bucket(plans)
-        level_plan = self.model.compile_level_plan(
-            [b.graph for b in buckets], [len(b.indices) for b in buckets]
-        )
+        if len(plans) == 1:
+            entry, nodes = self._resolve_plan(plans[0])
+            graph, level_plan = entry
+            if level_plan is None:
+                level_plan = entry[1] = self.model.compile_level_plan([graph], [1])
+            buckets = [PlanBucket(graph, [0], [nodes])]
+        else:
+            buckets = self._bucket(plans)
+            level_plan = self.model.compile_level_plan(
+                [b.graph for b in buckets], [len(b.indices) for b in buckets]
+            )
         return buckets, level_plan, self._featurize(buckets, level_plan)
 
     def _featurize(

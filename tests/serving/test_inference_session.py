@@ -252,6 +252,106 @@ class TestScheduleCache:
         assert cache.get(graphs[0], model.units) is not a  # recompiled
 
 
+def structure_twins(plans):
+    """Two plans of one structure."""
+    by_signature = {}
+    for plan in plans:
+        by_signature.setdefault(plan.structure_signature(), []).append(plan)
+    return max(by_signature.values(), key=len)[:2]
+
+
+def distinct_structures(plans, n):
+    by_signature = {}
+    for plan in plans:
+        by_signature.setdefault(plan.structure_signature(), plan)
+    return list(by_signature.values())[:n]
+
+
+@pytest.fixture()
+def compile_calls(monkeypatch):
+    """Records the plan counts of every ``compile_level_plan`` call."""
+    calls = []
+    original = QPPNet.compile_level_plan
+
+    def spy(self, graphs, counts):
+        calls.append(list(counts))
+        return original(self, graphs, counts)
+
+    monkeypatch.setattr(QPPNet, "compile_level_plan", spy)
+    return calls
+
+
+class TestOnePlanMemo:
+    """A batch of one reuses its structure's memoized level plan."""
+
+    def test_hits_bitwise_equal_a_fresh_session(self, model, corpus):
+        plans = [s.plan for s in corpus]
+        session = InferenceSession(model)
+        for plan in plans:  # every structure's one-plan level plan built
+            session.predict_batch([plan])
+        for plan in plans:
+            fresh = InferenceSession(model)
+            assert np.array_equal(session.predict_batch([plan]), fresh.predict_batch([plan]))
+            assert session.predict_operators_batch([plan]) == fresh.predict_operators_batch(
+                [plan]
+            )
+
+    def test_hits_do_not_alias_results(self, composition_pools):
+        model, plans, _, _ = composition_pools["tpch"]  # trained: values differ
+        a, b = structure_twins(plans)
+        session = InferenceSession(model)
+        first = session.predict_batch([a])
+        kept = first.copy()
+        assert session.predict_batch([b])[0] != kept[0]
+        assert session.predict_batch([a])[0] == kept[0]
+        assert np.array_equal(first, kept)
+
+    def test_repeat_structure_skips_compile(self, model, corpus, compile_calls):
+        a, b = structure_twins([s.plan for s in corpus])
+        session = InferenceSession(model)
+        session.predict_batch([a])
+        assert compile_calls == [[1]]
+        session.predict_batch([b])
+        session.predict_operators_batch([a])
+        session.predict(b)
+        assert compile_calls == [[1]]
+        session.predict_batch([a, b])  # multi-plan batches still compile
+        assert compile_calls == [[1], [2]]
+
+    def test_memo_is_bounded_fifo(self, model, corpus, compile_calls, monkeypatch):
+        monkeypatch.setattr(InferenceSession, "MAX_STRUCTURES", 2)
+        x, y, z = distinct_structures([s.plan for s in corpus], 3)
+        session = InferenceSession(model)
+        for plan in (x, y, z):  # z evicts x, the oldest
+            session.predict_batch([plan])
+        assert len(session._structures) == 2
+        assert len(compile_calls) == 3
+        session.predict_batch([y])  # still held
+        assert len(compile_calls) == 3
+        session.predict_batch([x])  # evicted: compiles again, evicting y
+        assert len(compile_calls) == 4
+        session.predict_batch([y])
+        assert len(compile_calls) == 5
+        assert len(session._structures) == 2
+
+
+def retained_growth(session, warm_up, churn):
+    """Bytes the session and model still hold after ``churn`` that they
+    did not hold after ``warm_up`` (both lists of batches)."""
+    tracemalloc.start()
+    try:
+        for batch in warm_up:
+            session.predict_batch(batch)
+        gc.collect()
+        warm = tracemalloc.get_traced_memory()[0]
+        for batch in churn:
+            session.predict_batch(batch)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+
+
 class TestBoundedMemory:
     def test_retained_memory_flat_under_composition_churn(self, model, corpus):
         """500+ batches whose structure mixes never repeat: after warm-up
@@ -268,20 +368,16 @@ class TestBoundedMemory:
             if mix not in seen:
                 seen.add(mix)
                 batches.append([plans[i] for i in picks])
-        session = InferenceSession(model)
-        tracemalloc.start()
-        try:
-            session.predict_batch(plans)
-            for batch in batches[:100]:
-                session.predict_batch(batch)
-            gc.collect()
-            warm = tracemalloc.get_traced_memory()[0]
-            for batch in batches[100:]:
-                session.predict_batch(batch)
-            gc.collect()
-            grown = tracemalloc.get_traced_memory()[0] - warm
-        finally:
-            tracemalloc.stop()
+        grown = retained_growth(InferenceSession(model), [plans] + batches[:100], batches[100:])
+        assert grown <= 64 * 1024, f"retained memory grew {grown} bytes"
+
+    def test_retained_memory_flat_under_single_plan_churn(self, model, corpus):
+        """Single-plan batches cycling over the corpus: once every
+        structure's one-plan level plan is memoized, nothing more is
+        kept."""
+        plans = [s.plan for s in corpus]
+        singles = [[plans[i % len(plans)]] for i in range(600)]
+        grown = retained_growth(InferenceSession(model), [plans] + singles[:100], singles[100:])
         assert grown <= 64 * 1024, f"retained memory grew {grown} bytes"
 
 

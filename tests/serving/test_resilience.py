@@ -358,6 +358,34 @@ class TestDeadlines:
             # A generous deadline still gets through.
             assert service.predict(plans[0], deadline_ms=10_000.0) > 0
 
+    def test_admission_charges_no_linger_by_default(self, model, plans):
+        """The default service dispatches on arrival, so an idle one
+        predicts only the drain cost: a 1 ms deadline gets in."""
+        service = PredictionService(model)  # never started: nothing drains
+        service._drain_ms_per_request = 0.1
+        service.submit(plans[0], deadline_ms=1.0)
+        assert service.stats().deadline_rejected == 0
+        service.stop(drain=False)
+
+    def test_admission_charges_what_remains_of_the_window(self, model, plans):
+        """Behind a request queued ~45 ms into a 50 ms window, a new one
+        waits ~5 ms more, not a fresh window."""
+        service = PredictionService(model, max_wait_ms=50.0)
+        service._drain_ms_per_request = 0.1
+        service.submit(plans[0])
+        service._queue[0].submitted_at -= 0.045
+        service.submit(plans[1], deadline_ms=20.0)
+        assert service.stats().deadline_rejected == 0
+        service.stop(drain=False)
+
+    def test_admission_charges_the_full_window_on_an_empty_queue(self, model, plans):
+        service = PredictionService(model, max_wait_ms=50.0)
+        service._drain_ms_per_request = 0.1
+        with pytest.raises(DeadlineExceededError) as exc_info:
+            service.submit(plans[0], deadline_ms=20.0)
+        assert exc_info.value.shed_at == "admission"
+        service.stop(drain=False)
+
     def test_default_deadline_from_policy(self, model, plans):
         policy = ResiliencePolicy(default_deadline_ms=10_000.0)
         with PredictionService(model, max_wait_ms=1.0, resilience=policy) as service:

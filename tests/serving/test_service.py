@@ -54,6 +54,31 @@ def reference(model, plans):
     return InferenceSession(model).predict_batch(plans)
 
 
+class CountingCondition(threading.Condition):
+    """A condition that counts ``notify`` calls and timed ``wait`` calls."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.notifies = 0
+        self.timed_waits = 0
+
+    def notify(self, n=1):
+        self.notifies += 1
+        super().notify(n)
+
+    def wait(self, timeout=None):
+        if timeout is not None:
+            self.timed_waits += 1
+        return super().wait(timeout)
+
+
+def count_wakeups(service):
+    """Swap the service's wake-up condition for a counting one (before
+    ``start``; it shares the service lock)."""
+    service._not_empty = CountingCondition(service._lock)
+    return service._not_empty
+
+
 class TestAgreement:
     def test_submit_matches_predict_batch(self, model, plans, reference):
         """Coalesced service batches are numerically identical (<=1e-9)
@@ -63,11 +88,16 @@ class TestAgreement:
             got = np.array([h.result(timeout=30) for h in handles])
         assert np.max(np.abs(got - reference)) <= 1e-9
 
-    def test_multithreaded_submitters_agree(self, model, plans, reference):
+    @pytest.mark.parametrize(
+        "config",
+        [{"max_batch_size": 16, "max_wait_ms": 1.0}, {}],
+        ids=["window", "default"],
+    )
+    def test_multithreaded_submitters_agree(self, model, plans, reference, config):
         """8 submitter threads race one service; every prediction still
         matches the whole-batch reference at <=1e-9, in request order."""
         n_threads = 8
-        with PredictionService(model, max_batch_size=16, max_wait_ms=1.0) as service:
+        with PredictionService(model, **config) as service:
 
             def submit_shard(offset):
                 shard = list(range(offset, len(plans), n_threads))
@@ -146,6 +176,41 @@ class TestCoalescing:
         # Generous slack for scheduling noise: the buggy behavior (a fresh
         # window anchored at worker wake-up) would take >= 1.0s.
         assert elapsed < 0.5, f"paid a fresh window: {elapsed:.3f}s"
+
+    def test_default_dispatch_never_lingers(self, model, plans):
+        """With the default config the drain loop never makes a timed
+        wait: it takes what is queued as soon as it is free."""
+        service = PredictionService(model)
+        wakeups = count_wakeups(service)
+
+        def submit_ten(offset):
+            handles = [service.submit(plans[offset + i]) for i in range(10)]
+            return [h.result(timeout=30) for h in handles]
+
+        with service:
+            with ThreadPoolExecutor(3) as pool:
+                values = [v for out in pool.map(submit_ten, (0, 10, 20)) for v in out]
+        assert len(values) == 30
+        assert wakeups.timed_waits == 0
+
+    def test_submit_notifies_only_when_the_queue_was_empty(self, model, plans):
+        service = PredictionService(model)  # never started: nothing drains
+        wakeups = count_wakeups(service)
+        for plan in plans[:10]:
+            service.submit(plan)
+        assert wakeups.notifies == 1
+        service.stop(drain=False)
+
+    def test_submit_that_fills_a_lingering_batch_notifies(self, model, plans):
+        service = PredictionService(model, max_batch_size=4, max_wait_ms=5.0)
+        wakeups = count_wakeups(service)
+        counts = []
+        for plan in plans[:6]:
+            service.submit(plan)
+            counts.append(wakeups.notifies)
+        # First arrival, then the fourth (the batch is full); no others.
+        assert counts == [1, 1, 1, 2, 2, 2]
+        service.stop(drain=False)
 
     def test_result_timeout(self, model, plans):
         service = PredictionService(model)  # never started: nothing drains
