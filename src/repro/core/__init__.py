@@ -16,7 +16,6 @@ from .batching import (
     CorpusBatch,
     PlanBucket,
     PlanGraph,
-    bucket_plans,
     PreGroupedCorpus,
     StructureGroup,
     VectorizedPlan,
@@ -59,7 +58,6 @@ __all__ = [
     "prune_checkpoints",
     "PlanGraph",
     "PlanBucket",
-    "bucket_plans",
     "VectorizedPlan",
     "StructureGroup",
     "plan_graph",

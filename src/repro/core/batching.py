@@ -144,28 +144,6 @@ class PlanBucket:
         return len(self.indices)
 
 
-def bucket_plans(plans: Sequence[PlanNode]) -> list[PlanBucket]:
-    """Compose independently submitted plans into per-structure buckets.
-
-    The returned buckets are in canonical sorted-by-signature order — the
-    same order :func:`group_by_structure` and :class:`PreGroupedCorpus`
-    produce — so serving and training lay the same structure mix out in
-    the *same* level-plan row order, no matter how the requests arrived.
-    Within a bucket, members keep arrival order.
-    """
-    buckets: dict[str, PlanBucket] = {}
-    for index, plan in enumerate(plans):
-        signature = plan.structure_signature()
-        bucket = buckets.get(signature)
-        if bucket is None:
-            # The full graph is derived from the bucket's first plan
-            # only; structure-equal plans reuse it.
-            bucket = buckets[signature] = PlanBucket(plan_graph(plan), [], [])
-        bucket.indices.append(index)
-        bucket.nodes.append(list(plan.preorder()))
-    return [buckets[signature] for signature in sorted(buckets)]
-
-
 class BufferPool:
     """Reusable stacking buffers, keyed by the caller (hot-path allocs).
 

@@ -22,8 +22,9 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
 
 2. :class:`InferenceSession` — the synchronous building block the
    service drains into.  ``predict_batch`` buckets the batch by
-   structure signature (in the canonical order of
-   :func:`repro.core.batching.bucket_plans`) and compiles it into a
+   structure signature (in the canonical sorted-signature order that
+   training's :func:`repro.core.batching.group_by_structure` also
+   uses) and compiles it into a
    :class:`~repro.core.levels.LevelPlan` — numpy over each structure's
    cached index arrays; a batch of one reuses its structure's memoized
    plan instead.  It then builds the features as one matrix per
@@ -213,18 +214,27 @@ boot; after a crash :meth:`~repro.serving.recovery.ServiceRecovery
   training samples re-derive deterministically from the replayed
   journal, and the next ``retrain()`` resumes bitwise from the cycle's
   last checkpoint;
-* the live model pointer: promotion saves the candidate's bundle to a
-  fresh versioned directory *before* the swap and republishes the
-  manifest after, so the manifest only ever names complete bundles.
+* the live model pointer: every transition is one atomic manifest
+  write carrying state and pointer together.  Once its state check and
+  gate pass, a promotion saves the candidate's bundle to a fresh
+  versioned directory *before* the swap, and the ``promoted`` manifest
+  is the one that names it; a rollback restores the previous pointer in
+  the ``demoted`` manifest itself, so a ``demoted`` manifest always
+  names the restored bundle.  The manifest only ever names complete
+  bundles, and a refused or illegal promotion writes nothing;
+* the cycle count: the manifest that ends a cycle (``demoted``, or
+  ``live`` after stabilization) already counts it, and recovering a
+  ``promoted`` manifest completes its cycle, so the next retrain starts
+  in a fresh checkpoint directory instead of resuming a finished one.
 
 **Torn and rotten disk state degrades, never raises:** a torn final
 record is truncated away, a record whose CRC fails is skipped, a
 segment with a bad header is quarantined (renamed ``*.corrupt``), a
 failed ``fsync``/write closes the journal into its ``io_errors``
-counter, a failed snapshot or manifest write increments
-``snapshot_errors``/``manifest_errors`` — all surfaced as typed
-counters on :class:`~repro.serving.journal.ReplayResult` and the
-:class:`~repro.serving.recovery.RecoveryReport`.  Only unrecoverable
+counter, a failed snapshot or manifest write increments the manager's
+``snapshot_errors``/``manifest_errors`` — all surfaced as counters,
+with replay damage typed on :class:`~repro.serving.journal.ReplayResult`
+and the :class:`~repro.serving.recovery.RecoveryReport`.  Only unrecoverable
 damage (missing/corrupt manifest, unloadable bundle) raises
 :class:`~repro.serving.resilience.RecoveryError`.
 
@@ -284,7 +294,6 @@ from .lifecycle import (
     ShadowSession,
 )
 from .recovery import (
-    DurableLifecycleManager,
     RecoveredStack,
     RecoveryReport,
     ServiceRecovery,
@@ -331,5 +340,4 @@ __all__ = [
     "ServiceRecovery",
     "RecoveredStack",
     "RecoveryReport",
-    "DurableLifecycleManager",
 ]

@@ -31,20 +31,26 @@ under explicit control — every stage (:meth:`poll`, :meth:`retrain`,
 :meth:`deploy_shadow`, :meth:`promote`, :meth:`demote`) is a public
 synchronous method, which is how the chaos drills squeeze faults into
 exact points of the cycle.
+
+Given a ``state_dir``, the same manager owns every durable write of the
+cycle: the manifest, the drift snapshot and promoted model bundles
+(layout in :mod:`repro.serving.recovery`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.bundle import save_bundle
 from repro.core.checkpoint import atomic_write_json
 from repro.core.trainer import TrainingHistory, fine_tune
 from repro.evaluation.drift import DriftMonitor, DriftReport
@@ -57,7 +63,7 @@ from .resilience import (
     LifecycleState,
     PromotionError,
 )
-from .service import OutcomeRecord, PredictionService
+from .service import PredictionService
 from .session import InferenceSession
 
 __all__ = [
@@ -71,6 +77,42 @@ __all__ = [
 #: Registry-name suffix the shadow candidate is published under while it
 #: shadow-serves (explicitly routable for operator smoke traffic).
 CANDIDATE_SUFFIX = "-candidate"
+
+#: State-directory layout: the manager writes the manifest, the drift
+#: snapshot and promoted bundles; :mod:`repro.serving.recovery` creates
+#: the journal and checkpoint directories and reads everything back.
+MANIFEST_NAME = "manifest.json"
+DRIFT_SNAPSHOT_NAME = "drift.json"
+JOURNAL_DIRNAME = "journal"
+CHECKPOINTS_DIRNAME = "checkpoints"
+MODELS_DIRNAME = "models"
+
+#: Bump when the manifest payload changes incompatibly.
+MANIFEST_FORMAT_VERSION = 1
+
+#: LifecycleConfig fields persisted in (and restored from) the manifest
+#: — the ones that shape retraining, so a recovered manager resumes an
+#: interrupted fine-tune with identical hyperparameters.
+_PERSISTED_CONFIG_FIELDS = (
+    "fine_tune_epochs",
+    "fine_tune_lr",
+    "fine_tune_batch_size",
+    "checkpoint_every",
+    "min_retrain_outcomes",
+    "max_retrain_outcomes",
+    "shadow_min_outcomes",
+    "promote_margin",
+    "stabilize_outcomes",
+    "poll_interval_s",
+    "cooldown_s",
+    "shadow_log_size",
+    "drift_snapshot_every",
+)
+
+
+def _bundle_path(model_name: str, cycle: int) -> str:
+    """A model's versioned bundle directory, relative to the state dir."""
+    return str(Path(MODELS_DIRNAME) / model_name / f"cycle-{cycle:03d}")
 
 
 # ----------------------------------------------------------------------
@@ -279,12 +321,10 @@ class LifecycleConfig:
     epoch_hook: Optional[Callable[[int], None]] = None
     #: Bound on the shadow disagreement journal.
     shadow_log_size: int = 4096
-    #: Where :meth:`LifecycleManager.poll` atomically snapshots the
-    #: drift monitor's state (``None`` disables snapshots).  With a
-    #: snapshot on disk, crash recovery replays only the outcome-journal
-    #: suffix past the snapshot's cursor instead of the whole journal.
-    drift_snapshot_path: Optional[Union[str, os.PathLike]] = None
-    #: Snapshot cadence: one atomic write per this many consumed outcomes.
+    #: Drift-snapshot cadence for a manager with a ``state_dir``: one
+    #: atomic write of ``<state_dir>/drift.json`` per this many consumed
+    #: outcomes.  With a snapshot on disk, crash recovery replays only
+    #: the outcome-journal suffix past the snapshot's cursor.
     drift_snapshot_every: int = 64
 
     def __post_init__(self) -> None:
@@ -331,6 +371,20 @@ class LifecycleManager:
     :meth:`retrain` — same manager or a fresh one over the same
     ``checkpoint_dir`` and outcome journal — resumes from the last
     checkpoint, reproducing the uninterrupted fit bitwise.
+
+    **Durable state.** With a ``state_dir`` (what
+    :class:`~repro.serving.recovery.ServiceRecovery` wires), every
+    transition atomically republishes ``<state_dir>/manifest.json``
+    (state, cycle and model pointers together, in one write), and
+    :meth:`poll` snapshots the drift monitor.  The config's
+    ``checkpoint_dir`` must then be ``<state_dir>/checkpoints``, where
+    recovery looks for an interrupted retrain.  ``bundles`` maps model
+    names to bundle directories relative to ``state_dir``; a promotion
+    saves the candidate to a fresh one only after the state check and
+    the gate pass, so a refused promotion writes nothing.  Manifest
+    and snapshot write failures are swallowed into
+    :attr:`manifest_errors` / :attr:`snapshot_errors`: a sick disk
+    degrades durability, never the state machine.
     """
 
     def __init__(
@@ -340,6 +394,8 @@ class LifecycleManager:
         config: LifecycleConfig,
         *,
         model: Optional[str] = None,
+        state_dir: Optional[Union[str, os.PathLike]] = None,
+        bundles: Optional[dict[str, str]] = None,
     ) -> None:
         name = model if model is not None else service.default_model
         if name is None:
@@ -357,6 +413,18 @@ class LifecycleManager:
         #: Exceptions swallowed by the background loop (it must survive
         #: transient failures; SimulatedCrash still kills it).
         self.errors: list[BaseException] = []
+        self.state_dir = Path(state_dir) if state_dir is not None else None
+        if self.state_dir is not None and os.path.abspath(
+            config.checkpoint_dir
+        ) != os.path.abspath(self.state_dir / CHECKPOINTS_DIRNAME):
+            raise LifecycleError(
+                f"with state_dir={str(self.state_dir)!r}, checkpoint_dir must be "
+                f"its {CHECKPOINTS_DIRNAME!r} subdirectory (recovery resumes "
+                f"retrains from there), not {str(config.checkpoint_dir)!r}"
+            )
+        self._bundles: dict[str, str] = dict(bundles or {})
+        #: Swallowed manifest-write failures.
+        self.manifest_errors = 0
 
         self._lock = threading.RLock()
         self._state = LifecycleState.LIVE
@@ -371,6 +439,7 @@ class LifecycleManager:
         self._shadow_primary = None
         self._shadow_log: Optional[ShadowLog] = None
         self._rollback_to = None
+        self._rollback_bundle: Optional[str] = None
         # Outcome-joined shadow evaluation accumulators.
         self._eval_n = 0
         self._eval_primary_err = 0.0
@@ -414,6 +483,43 @@ class LifecycleManager:
         # Caller holds self._lock.
         self._state = LifecycleState.check(self._state, new)
         self.events.append((new, detail))
+        self.persist_manifest()
+
+    def persist_manifest(self) -> bool:
+        """Atomically republish the manifest now; ``True`` on success.
+
+        ``False`` without a ``state_dir``, or when the write failed
+        (counted in ``manifest_errors``; the previous manifest stays).
+        """
+        if self.state_dir is None:
+            return False
+        with self._lock:
+            monitor = self.monitor
+            payload = {
+                "format": MANIFEST_FORMAT_VERSION,
+                "model_name": self.model_name,
+                "state": self._state,
+                "cycle": self._cycle,
+                "models": dict(self._bundles),
+                "checkpoint_dir": CHECKPOINTS_DIRNAME,
+                "journal_dir": JOURNAL_DIRNAME,
+                "drift_snapshot": DRIFT_SNAPSHOT_NAME,
+                "drift": {
+                    "baseline_rel_error": monitor.baseline_rel_error,
+                    "thresholds": dataclasses.asdict(monitor.thresholds),
+                    "known_signatures": sorted(monitor.known_signatures),
+                },
+                "lifecycle": {
+                    name: getattr(self.config, name)
+                    for name in _PERSISTED_CONFIG_FIELDS
+                },
+            }
+            try:
+                atomic_write_json(self.state_dir / MANIFEST_NAME, payload)
+            except Exception:
+                self.manifest_errors += 1
+                return False
+            return True
 
     def _cycle_dir(self) -> Path:
         return Path(self.config.checkpoint_dir) / f"cycle-{self._cycle + 1:03d}"
@@ -428,10 +534,10 @@ class LifecycleManager:
         is shadow-serving (accumulating both models' observed error),
         accounts any evicted gap in ``outcomes_lost`` (a poller that
         fell behind must not mistake missed news for no news), and —
-        when ``drift_snapshot_path`` is configured — atomically
-        snapshots the monitor's state every ``drift_snapshot_every``
-        consumed outcomes so crash recovery only replays the journal
-        suffix past the snapshot.  Returns the monitor's fresh report.
+        with a ``state_dir`` — calls :meth:`snapshot_drift` every
+        ``drift_snapshot_every`` consumed outcomes so crash recovery
+        only replays the journal suffix past the snapshot.  Returns the
+        monitor's fresh report.
         """
         with self._lock:
             records, dropped = self.service.outcomes.since(self._cursor)
@@ -456,7 +562,7 @@ class LifecycleManager:
                         )
             self._since_snapshot += len(records)
             if (
-                self.config.drift_snapshot_path is not None
+                self.state_dir is not None
                 and self._since_snapshot >= self.config.drift_snapshot_every
             ):
                 self.snapshot_drift()
@@ -465,15 +571,16 @@ class LifecycleManager:
     def snapshot_drift(self) -> bool:
         """Atomically persist the drift state now; ``True`` on success.
 
-        Temp + fsync + rename via :func:`repro.core.checkpoint
-        .atomic_write_json`; a failed write is swallowed into
-        ``snapshot_errors`` (the poller must survive a sick disk — the
-        previous snapshot stays valid, replay just covers more journal).
-        On success, on-disk journal segments wholly behind both the
-        snapshot cursor and the in-memory retention window are pruned.
+        Writes ``<state_dir>/drift.json`` (``False`` without a
+        ``state_dir``) by temp + fsync + rename via
+        :func:`repro.core.checkpoint.atomic_write_json`; a failed write
+        is swallowed into ``snapshot_errors`` (the poller must survive a
+        sick disk — the previous snapshot stays valid, replay just
+        covers more journal).  On success, on-disk journal segments
+        wholly behind both the snapshot cursor and the in-memory
+        retention window are pruned.
         """
-        path = self.config.drift_snapshot_path
-        if path is None:
+        if self.state_dir is None:
             return False
         with self._lock:
             payload = {
@@ -483,7 +590,7 @@ class LifecycleManager:
                 "monitor": self.monitor.state_dict(),
             }
             try:
-                atomic_write_json(path, payload)
+                atomic_write_json(self.state_dir / DRIFT_SNAPSHOT_NAME, payload)
             except Exception:
                 self._snapshot_errors += 1
                 return False
@@ -506,22 +613,21 @@ class LifecycleManager:
     def training_samples(self) -> list[PlanSample]:
         """The observed stream as training samples (deterministic).
 
-        Journaled outcomes whose plan carries execution actuals (the
-        labels ``vectorize_plan`` reads), deduplicated by plan identity
-        keeping the newest observation, capped at the most recent
-        ``max_retrain_outcomes``.  Derived purely from the journal, so
-        re-deriving after a crash — with no new outcomes in between —
+        The newest ``max_retrain_outcomes`` retained outcomes whose plan
+        carries execution actuals (the labels ``vectorize_plan`` reads),
+        oldest first, one sample per outcome: a plan observed twice
+        trains twice.  Derived from the records alone, never from plan
+        object identity (journal replay decodes every record into a
+        fresh plan), so re-deriving after a crash — from the live log
+        or the replayed journal, with no new outcomes in between —
         yields the identical sequence, which is what makes checkpoint
         resume bitwise.
         """
-        records = self.service.outcomes.snapshot()
-        by_plan: "OrderedDict[int, OutcomeRecord]" = OrderedDict()
-        for rec in records:
-            if rec.plan.actual_total_ms is None:
-                continue
-            by_plan.pop(id(rec.plan), None)
-            by_plan[id(rec.plan)] = rec
-        picked = list(by_plan.values())[-self.config.max_retrain_outcomes :]
+        analyzed = [
+            rec
+            for rec in self.service.outcomes.snapshot()
+            if rec.plan.actual_total_ms is not None
+        ]
         return [
             PlanSample(
                 plan=rec.plan,
@@ -529,7 +635,7 @@ class LifecycleManager:
                 template_id="observed",
                 workload="live",
             )
-            for rec in picked
+            for rec in analyzed[-self.config.max_retrain_outcomes :]
         ]
 
     def retrain(self) -> TrainingHistory:
@@ -652,6 +758,12 @@ class LifecycleManager:
         retired primary is retained for :meth:`demote` rollback and the
         drift monitor is re-armed for the new model.  Returns the
         retired shadow wrapper.
+
+        With a ``state_dir``, durable in three steps once the state
+        check and the gate pass: the candidate's bundle lands in a fresh
+        ``models/<name>/cycle-NNN`` directory, the session swaps, and
+        the ``promoted`` manifest names the new bundle.  A crash before
+        that one write recovers the old pointer, whose bundle is intact.
         """
         with self._lock:
             if self._state != LifecycleState.SHADOW:
@@ -679,34 +791,48 @@ class LifecycleManager:
                         f"exceeds primary {report.primary_rel_error:.4f} "
                         f"x margin {self.config.promote_margin}"
                     )
+            bundle = None
+            if self.state_dir is not None:
+                bundle = _bundle_path(self.model_name, self._cycle + 1)
+                save_bundle(self._candidate.model, self.state_dir / bundle)
             registry = self.service.registry
             retired = registry.replace_session(self.model_name, self._candidate)
             registry.unregister(self.model_name + CANDIDATE_SUFFIX)
             self._rollback_to = self._shadow_primary
+            if bundle is not None:
+                self._rollback_bundle = self._bundles.get(self.model_name)
+                self._bundles[self.model_name] = bundle
+            # The monitor's memory describes the old model; re-arm it for
+            # the new one, and structures the candidate trained on are no
+            # longer "unseen" (re-armed first, so the manifest's drift
+            # section already lists them).
+            self.monitor.reset(extend_known=self._trained_signatures)
             self._transition(
                 LifecycleState.PROMOTED,
                 f"candidate err {report.candidate_rel_error:.4f} "
                 f"vs primary {report.primary_rel_error:.4f}",
             )
-            # The monitor's memory describes the old model; re-arm it for
-            # the new one, and structures the candidate trained on are no
-            # longer "unseen".
-            self.monitor.reset(extend_known=self._trained_signatures)
             return retired
 
     def demote(self) -> None:
         """Reject the candidate (from ``shadow``) or roll back a
         promotion (from ``promoted``); the previous model serves again.
-        One atomic swap either way; completes the cycle."""
+        One atomic swap either way; completes the cycle.  The one
+        ``demoted`` manifest carries the completed cycle and, after a
+        rollback, the restored bundle pointer: it never names the
+        candidate, and a restart never retrains into the finished
+        cycle's checkpoints."""
         with self._lock:
             registry = self.service.registry
             if self._state == LifecycleState.SHADOW:
                 registry.replace_session(self.model_name, self._shadow_primary)
                 registry.unregister(self.model_name + CANDIDATE_SUFFIX)
-                self._transition(LifecycleState.DEMOTED, "candidate rejected in shadow")
+                detail = "candidate rejected in shadow"
             elif self._state == LifecycleState.PROMOTED:
                 registry.replace_session(self.model_name, self._rollback_to)
-                self._transition(LifecycleState.DEMOTED, "promotion rolled back")
+                if self._rollback_bundle is not None:
+                    self._bundles[self.model_name] = self._rollback_bundle
+                detail = "promotion rolled back"
             else:
                 raise LifecycleError(
                     f"demote is only legal from 'shadow' or 'promoted' "
@@ -714,15 +840,18 @@ class LifecycleManager:
                 )
             self.monitor.reset()
             self._finish_cycle()
+            self._transition(LifecycleState.DEMOTED, detail)
             self._cooldown_until = time.monotonic() + self.config.cooldown_s
 
     def _finish_cycle(self) -> None:
-        # Caller holds self._lock.
+        # Caller holds self._lock; runs before the transition that ends
+        # the cycle, so that transition's manifest counts it.
         self._cycle += 1
         self._candidate = None
         self._shadow_primary = None
         self._shadow_log = None
         self._rollback_to = None
+        self._rollback_bundle = None
 
     # ------------------------------------------------------------------
     # The composed tick
@@ -762,8 +891,8 @@ class LifecycleManager:
                 if report.triggered:
                     self.demote()  # rollback
                 elif report.observations >= self.config.stabilize_outcomes:
-                    self._transition(LifecycleState.LIVE, "candidate stabilized")
                     self._finish_cycle()
+                    self._transition(LifecycleState.LIVE, "candidate stabilized")
                     self._cooldown_until = now + self.config.cooldown_s
             elif state == LifecycleState.DEMOTED:
                 if now >= self._cooldown_until:

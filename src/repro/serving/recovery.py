@@ -1,10 +1,11 @@
 """Cold-restart recovery: rebuild the serving stack from a state directory.
 
-:mod:`repro.serving.journal` makes the outcome stream durable and the
-drift monitor snapshots its own state — this module ties those pieces
-(plus model bundles and retrain checkpoints) into one *state
-directory* with a single atomically-replaced manifest, and provides the
-front door that turns a directory back into a running stack::
+:mod:`repro.serving.journal` makes the outcome stream durable; a
+:class:`~repro.serving.lifecycle.LifecycleManager` given a
+``state_dir`` persists everything else it decides.  This module lays
+those pieces out as one *state directory* with a single
+atomically-replaced manifest, and provides the front door that turns a
+directory back into a running stack::
 
     state/
       manifest.json        <- atomic JSON: state machine + model pointers
@@ -14,13 +15,13 @@ front door that turns a directory back into a running stack::
       models/<name>/...    <- versioned model bundles (pointer-swapped)
 
 **First boot** (:meth:`ServiceRecovery.create`) saves the model bundle,
-writes the manifest, opens a fresh journal, and returns a
+opens a fresh journal, publishes the manifest, and returns a
 :class:`RecoveredStack` whose :class:`~repro.serving.service
 .PredictionService`, :class:`~repro.evaluation.drift.DriftMonitor` and
-:class:`DurableLifecycleManager` persist every durable event as a side
-effect of normal operation — outcomes via the journal, drift state via
-periodic snapshots, lifecycle transitions and model promotions via
-atomic manifest replacement.
+manager persist every durable event as a side effect of normal
+operation — outcomes via the journal, drift state via periodic
+snapshots, lifecycle transitions and model promotions via atomic
+manifest replacement.
 
 **After a crash** (:meth:`ServiceRecovery.recover`) the same directory
 rebuilds the stack: the manifest names the bundles to load, the journal
@@ -34,39 +35,45 @@ a process that never died.  A crash mid-retrain recovers in
 cycle's checkpoints.
 
 **Model durability** uses versioned bundle directories plus manifest
-pointer swap: a promotion first saves the candidate's bundle to a fresh
-``models/<name>/cycle-NNN`` directory, then swaps the live session, then
-atomically republishes the manifest pointing at the new bundle — a crash
-between any two steps leaves the previous pointer valid, so recovery
-always loads a complete bundle (promotion durability is
-last-manifest-wins by design).
+pointer swap: a promotion that passed its state check and gate saves
+the candidate's bundle to a fresh ``models/<name>/cycle-NNN``
+directory, swaps the live session, and then publishes the ``promoted``
+manifest, which names the new bundle.  A rollback publishes the
+``demoted`` manifest with the previous pointer restored.  Each
+transition is one manifest write carrying state and pointer together,
+so a crash at any instant leaves the manifest naming a complete bundle
+that matches its state (promotion durability is last-manifest-wins by
+design).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.core.bundle import save_bundle
-from repro.core.checkpoint import (
-    CheckpointError,
-    atomic_write_json,
-    load_verified_json,
-)
+from repro.core.checkpoint import CheckpointError, load_verified_json
 from repro.core.model import QPPNet
 from repro.evaluation.drift import DriftMonitor, DriftThresholds
 
 from .journal import OutcomeJournal, ReplayResult
-from .lifecycle import LifecycleConfig, LifecycleManager
+from .lifecycle import (
+    CHECKPOINTS_DIRNAME,
+    DRIFT_SNAPSHOT_NAME,
+    JOURNAL_DIRNAME,
+    MANIFEST_FORMAT_VERSION,
+    MANIFEST_NAME,
+    LifecycleConfig,
+    LifecycleManager,
+    _bundle_path,
+)
 from .registry import ModelRegistry
 from .resilience import LifecycleState, RecoveryError
 from .service import OUTCOME_LOG_SIZE, OutcomeLog, PredictionService
 
 __all__ = [
-    "DurableLifecycleManager",
     "RecoveredStack",
     "RecoveryReport",
     "ServiceRecovery",
@@ -74,41 +81,16 @@ __all__ = [
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-MANIFEST_NAME = "manifest.json"
-DRIFT_SNAPSHOT_NAME = "drift.json"
-JOURNAL_DIRNAME = "journal"
-CHECKPOINTS_DIRNAME = "checkpoints"
-MODELS_DIRNAME = "models"
-
-#: Bump when the manifest payload changes incompatibly.
-MANIFEST_FORMAT_VERSION = 1
-
-#: LifecycleConfig fields persisted in (and restored from) the manifest
-#: — the ones that shape retraining, so a recovered manager resumes an
-#: interrupted fine-tune with identical hyperparameters.
-_PERSISTED_CONFIG_FIELDS = (
-    "fine_tune_epochs",
-    "fine_tune_lr",
-    "fine_tune_batch_size",
-    "checkpoint_every",
-    "min_retrain_outcomes",
-    "max_retrain_outcomes",
-    "shadow_min_outcomes",
-    "promote_margin",
-    "stabilize_outcomes",
-    "poll_interval_s",
-    "cooldown_s",
-    "shadow_log_size",
-    "drift_snapshot_every",
-)
-
 #: How a persisted lifecycle state maps onto the state a *restarted*
 #: process can actually be in.  ``shadow`` falls back to ``retraining``
 #: (the candidate and its shadow evidence were in memory; the candidate
 #: is re-derivable bitwise from the cycle's checkpoints, the evidence is
 #: lost by design), ``promoted``/``demoted`` settle to ``live`` (the
 #: manifest pointer already names the surviving model; in-memory
-#: rollback state is gone).
+#: rollback state is gone).  A ``demoted`` manifest already counts its
+#: cycle as complete; a ``promoted`` one is written mid-cycle, so
+#: settling it completes the cycle (the next retrain must not resume
+#: the promoted candidate's checkpoints).
 _RESTART_STATE_MAP = {
     LifecycleState.LIVE: LifecycleState.LIVE,
     LifecycleState.RETRAINING: LifecycleState.RETRAINING,
@@ -116,120 +98,6 @@ _RESTART_STATE_MAP = {
     LifecycleState.PROMOTED: LifecycleState.LIVE,
     LifecycleState.DEMOTED: LifecycleState.LIVE,
 }
-
-
-class DurableLifecycleManager(LifecycleManager):
-    """A :class:`LifecycleManager` that persists its durable events.
-
-    Every state-machine transition atomically republishes the manifest
-    (so a restarted process knows where the dead one was), and a
-    promotion first saves the candidate's bundle to a fresh versioned
-    directory so the manifest's model pointer only ever names complete
-    bundles.  Manifest-write failures are swallowed into
-    ``manifest_errors`` — a sick disk degrades durability, never the
-    state machine.
-    """
-
-    def __init__(
-        self,
-        service: PredictionService,
-        monitor: DriftMonitor,
-        config: LifecycleConfig,
-        *,
-        model: Optional[str] = None,
-        state_dir: PathLike,
-        bundles: Optional[dict] = None,
-    ) -> None:
-        super().__init__(service, monitor, config, model=model)
-        self.state_dir = Path(state_dir)
-        self.manifest_path = self.state_dir / MANIFEST_NAME
-        #: model name -> bundle directory, relative to ``state_dir``.
-        self._bundles: dict[str, str] = dict(bundles or {})
-        self._prev_bundle: Optional[str] = None
-        #: Swallowed manifest-write failures.
-        self.manifest_errors = 0
-
-    # -- persistence ----------------------------------------------------
-    def _manifest_payload(self) -> dict:
-        # Caller holds self._lock.
-        cfg = self.config
-        return {
-            "format": MANIFEST_FORMAT_VERSION,
-            "model_name": self.model_name,
-            "state": self._state,
-            "cycle": self._cycle,
-            "models": dict(self._bundles),
-            "checkpoint_dir": CHECKPOINTS_DIRNAME,
-            "journal_dir": JOURNAL_DIRNAME,
-            "drift_snapshot": DRIFT_SNAPSHOT_NAME,
-            "drift": {
-                "baseline_rel_error": self.monitor.baseline_rel_error,
-                "thresholds": dataclasses.asdict(self.monitor.thresholds),
-                "known_signatures": sorted(self.monitor.known_signatures),
-            },
-            "lifecycle": {
-                name: getattr(cfg, name) for name in _PERSISTED_CONFIG_FIELDS
-            },
-        }
-
-    def persist_manifest(self) -> bool:
-        """Atomically republish the manifest now; ``True`` on success."""
-        with self._lock:
-            payload = self._manifest_payload()
-            try:
-                atomic_write_json(self.manifest_path, payload)
-            except Exception:
-                self.manifest_errors += 1
-                return False
-            return True
-
-    def _transition(self, new: str, detail: str = "") -> None:
-        super()._transition(new, detail)
-        self.persist_manifest()
-
-    # -- durable promotion ----------------------------------------------
-    def _next_bundle_dir(self) -> Path:
-        # Caller holds self._lock; versioned by the cycle being promoted.
-        return (
-            Path(MODELS_DIRNAME)
-            / self.model_name
-            / f"cycle-{self._cycle + 1:03d}"
-        )
-
-    def promote(self, force: bool = False):
-        """Durable promotion: bundle first, swap second, pointer third.
-
-        The candidate's bundle lands on disk *before* the registry swap
-        and the manifest pointer moves only after the swap succeeds, so
-        every crash window leaves the manifest naming a complete bundle:
-        before the swap → the old model recovers; after the swap but
-        before the pointer write → the old pointer recovers (the
-        promotion was not yet durable, which is the documented
-        lost-by-design window).
-        """
-        with self._lock:
-            new_dir: Optional[Path] = None
-            candidate = self._candidate
-            if candidate is not None and getattr(candidate, "model", None) is not None:
-                new_dir = self._next_bundle_dir()
-                save_bundle(candidate.model, self.state_dir / new_dir)
-            retired = super().promote(force=force)
-            if new_dir is not None:
-                self._prev_bundle = self._bundles.get(self.model_name)
-                self._bundles[self.model_name] = str(new_dir)
-                self.persist_manifest()
-            return retired
-
-    def demote(self) -> None:
-        with self._lock:
-            rolling_back = self._state == LifecycleState.PROMOTED
-            super().demote()
-            if rolling_back and self._prev_bundle is not None:
-                # The promotion's pointer move is undone: the previous
-                # bundle (still on disk) serves again.
-                self._bundles[self.model_name] = self._prev_bundle
-                self._prev_bundle = None
-                self.persist_manifest()
 
 
 @dataclass(frozen=True)
@@ -269,7 +137,7 @@ class RecoveredStack:
 
     service: PredictionService
     monitor: DriftMonitor
-    manager: DurableLifecycleManager
+    manager: LifecycleManager
     journal: OutcomeJournal
     state_dir: Path
     #: ``None`` on first boot; the replay/restore evidence on recovery.
@@ -314,53 +182,33 @@ class ServiceRecovery:
         starts the service/manager)."""
         state_dir = Path(state_dir)
         state_dir.mkdir(parents=True, exist_ok=True)
-        bundle_rel = Path(MODELS_DIRNAME) / model_name / "cycle-000"
-        save_bundle(model, state_dir / bundle_rel)
-
-        journal = OutcomeJournal(
-            state_dir / JOURNAL_DIRNAME,
-            segment_max_bytes=segment_max_bytes,
-            fsync_every=fsync_every,
-            fsync_fn=fsync_fn,
-        )
-        log = OutcomeLog(outcome_log_size, journal=journal)
+        bundle = _bundle_path(model_name, 0)
+        save_bundle(model, state_dir / bundle)
         registry = ModelRegistry()
         registry.register(model_name, model)
-        service = PredictionService(
-            registry,
-            default_model=model_name,
-            outcomes=log,
-            **(service_kwargs or {}),
-        )
         monitor = DriftMonitor(
             baseline_rel_error,
             thresholds=thresholds,
             known_signatures=known_signatures,
         )
-        config = LifecycleConfig(
-            checkpoint_dir=state_dir / CHECKPOINTS_DIRNAME,
-            drift_snapshot_path=state_dir / DRIFT_SNAPSHOT_NAME,
-            **lifecycle_kwargs,
-        )
-        manager = DurableLifecycleManager(
-            service,
+        stack, _ = _open_stack(
+            state_dir,
+            registry,
             monitor,
-            config,
-            model=model_name,
-            state_dir=state_dir,
-            bundles={model_name: str(bundle_rel)},
+            model_name,
+            {model_name: bundle},
+            lifecycle_kwargs,
+            outcome_log_size=outcome_log_size,
+            service_kwargs=service_kwargs,
+            segment_max_bytes=segment_max_bytes,
+            fsync_every=fsync_every,
+            fsync_fn=fsync_fn,
         )
-        if not manager.persist_manifest():
+        if not stack.manager.persist_manifest():
             raise RecoveryError(
                 f"could not publish the initial manifest under {state_dir}"
             )
-        return RecoveredStack(
-            service=service,
-            monitor=monitor,
-            manager=manager,
-            journal=journal,
-            state_dir=state_dir,
-        )
+        return stack
 
     @staticmethod
     def recover(
@@ -401,6 +249,10 @@ class ServiceRecovery:
                 f"unsupported manifest format {manifest.get('format')!r}"
             )
         model_name = manifest["model_name"]
+        manifest_state = manifest["state"]
+        restored_state = _RESTART_STATE_MAP.get(manifest_state)
+        if restored_state is None:
+            raise RecoveryError(f"manifest names unknown state {manifest_state!r}")
 
         registry = ModelRegistry()
         for name, rel in manifest["models"].items():
@@ -413,30 +265,11 @@ class ServiceRecovery:
                     f"{bundle_dir}: {error}"
                 ) from error
 
-        journal = OutcomeJournal(
-            state_dir / manifest.get("journal_dir", JOURNAL_DIRNAME),
-            segment_max_bytes=segment_max_bytes,
-            fsync_every=fsync_every,
-            fsync_fn=fsync_fn,
-        )
-        replay: ReplayResult = journal.recover()
-        log = OutcomeLog(outcome_log_size, journal=journal)
-        log.restore(replay.records)
-
-        service = PredictionService(
-            registry,
-            default_model=model_name,
-            outcomes=log,
-            **(service_kwargs or {}),
-        )
-
-        snapshot_path = state_dir / manifest.get("drift_snapshot", DRIFT_SNAPSHOT_NAME)
-        monitor: Optional[DriftMonitor] = None
         snapshot_used = False
         cursor = 0
         lost = 0
         try:
-            snapshot = load_verified_json(snapshot_path)
+            snapshot = load_verified_json(state_dir / DRIFT_SNAPSHOT_NAME)
             monitor = DriftMonitor.from_state_dict(snapshot["monitor"])
             cursor = int(snapshot["cursor"])
             lost = int(snapshot.get("outcomes_lost", 0))
@@ -452,29 +285,26 @@ class ServiceRecovery:
                 known_signatures=drift.get("known_signatures", ()),
             )
 
-        config_fields = dict(manifest.get("lifecycle", {}))
-        config_fields.update(lifecycle_overrides)
-        config = LifecycleConfig(
-            checkpoint_dir=state_dir
-            / manifest.get("checkpoint_dir", CHECKPOINTS_DIRNAME),
-            drift_snapshot_path=snapshot_path,
-            **config_fields,
-        )
-        manager = DurableLifecycleManager(
-            service,
+        stack, replay = _open_stack(
+            state_dir,
+            registry,
             monitor,
-            config,
-            model=model_name,
-            state_dir=state_dir,
-            bundles=dict(manifest["models"]),
+            model_name,
+            dict(manifest["models"]),
+            {**manifest.get("lifecycle", {}), **lifecycle_overrides},
+            outcome_log_size=outcome_log_size,
+            service_kwargs=service_kwargs,
+            segment_max_bytes=segment_max_bytes,
+            fsync_every=fsync_every,
+            fsync_fn=fsync_fn,
         )
-        manifest_state = manifest["state"]
-        restored_state = _RESTART_STATE_MAP.get(manifest_state)
-        if restored_state is None:
-            raise RecoveryError(f"manifest names unknown state {manifest_state!r}")
+        cycle = int(manifest["cycle"])
+        if manifest_state == LifecycleState.PROMOTED:
+            cycle += 1  # settling a promotion completes its cycle
+        manager = stack.manager
         manager.restore_progress(
             state=restored_state,
-            cycle=int(manifest["cycle"]),
+            cycle=cycle,
             cursor=cursor,
             outcomes_lost=lost,
         )
@@ -483,9 +313,7 @@ class ServiceRecovery:
         # identical to a process that never died.
         before = manager.cursor
         manager.poll()
-        suffix = sum(1 for rec in replay.records if rec.seq > before)
-
-        report = RecoveryReport(
+        stack.report = RecoveryReport(
             replayed_records=len(replay.records),
             max_seq=replay.max_seq,
             corrupt_records=replay.corrupt_records,
@@ -493,15 +321,54 @@ class ServiceRecovery:
             torn_tail_bytes=replay.torn_tail_bytes,
             snapshot_used=snapshot_used,
             snapshot_cursor=cursor,
-            suffix_observed=suffix,
+            suffix_observed=sum(1 for rec in replay.records if rec.seq > before),
             manifest_state=manifest_state,
             restored_state=restored_state,
         )
-        return RecoveredStack(
-            service=service,
-            monitor=monitor,
-            manager=manager,
-            journal=journal,
-            state_dir=state_dir,
-            report=report,
-        )
+        return stack
+
+
+def _open_stack(
+    state_dir: Path,
+    registry: ModelRegistry,
+    monitor: DriftMonitor,
+    model_name: str,
+    bundles: dict[str, str],
+    lifecycle_fields: dict,
+    *,
+    outcome_log_size: int,
+    service_kwargs: Optional[dict],
+    **journal_kwargs,
+) -> tuple[RecoveredStack, ReplayResult]:
+    """Journal -> outcome log -> service -> config -> manager over one
+    state directory, plus what the journal replayed (nothing on a
+    fresh directory)."""
+    journal = OutcomeJournal(state_dir / JOURNAL_DIRNAME, **journal_kwargs)
+    replay = journal.recover()
+    log = OutcomeLog(outcome_log_size, journal=journal)
+    log.restore(replay.records)
+    service = PredictionService(
+        registry,
+        default_model=model_name,
+        outcomes=log,
+        **(service_kwargs or {}),
+    )
+    config = LifecycleConfig(
+        checkpoint_dir=state_dir / CHECKPOINTS_DIRNAME, **lifecycle_fields
+    )
+    manager = LifecycleManager(
+        service,
+        monitor,
+        config,
+        model=model_name,
+        state_dir=state_dir,
+        bundles=bundles,
+    )
+    stack = RecoveredStack(
+        service=service,
+        monitor=monitor,
+        manager=manager,
+        journal=journal,
+        state_dir=state_dir,
+    )
+    return stack, replay

@@ -246,14 +246,17 @@ class InferenceSession:
         return entry, nodes
 
     def _bucket(self, plans: Sequence[PlanNode]) -> list[PlanBucket]:
-        """Memoized twin of :func:`~repro.core.batching.bucket_plans`.
+        """Compose a batch of plans into per-structure buckets.
 
-        Identical contract — canonical sorted-by-signature bucket order,
-        arrival order within a bucket — but structures resolve through
-        :meth:`_resolve_plan`.  Buckets merge on ``graph.signature`` (not
-        the memo key): distinct physical ops can share a logical
-        signature and must land in one bucket, exactly as the uncached
-        helper groups them.
+        Buckets come in canonical sorted-by-signature order — the order
+        :func:`~repro.core.batching.group_by_structure` and
+        :class:`~repro.core.batching.PreGroupedCorpus` produce — so
+        serving and training lay the same structure mix out in the same
+        level-plan row order, however the requests arrived; members keep
+        arrival order.  Structures resolve through :meth:`_resolve_plan`.
+        Buckets merge on ``graph.signature`` (not the memo key): distinct
+        physical ops can share a logical signature and must land in one
+        bucket, exactly as training groups them.
         """
         buckets: dict[str, PlanBucket] = {}
         for index, plan in enumerate(plans):

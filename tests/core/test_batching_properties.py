@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BufferPool,
-    bucket_plans,
+    QPPNet,
+    QPPNetConfig,
     group_by_structure,
     plan_graph,
     sample_batches,
     vectorize_corpus,
 )
 from repro.featurize import Featurizer
+from repro.serving import InferenceSession
 from repro.workload import Workbench
 
 
@@ -29,10 +31,17 @@ def vectorized(samples):
     return vectorize_corpus(samples, featurizer)
 
 
+@pytest.fixture(scope="module")
+def bucket_plans(samples):
+    """The serving tier's bucketing (an untrained model is enough)."""
+    featurizer = Featurizer().fit([s.plan for s in samples])
+    return InferenceSession(QPPNet(featurizer, QPPNetConfig()))._bucket
+
+
 class TestBucketPlans:
     """Composition of independently submitted plans (serving tier)."""
 
-    def test_partition_and_arrival_order(self, samples):
+    def test_partition_and_arrival_order(self, samples, bucket_plans):
         plans = [s.plan for s in samples]
         buckets = bucket_plans(plans)
         seen = sorted(i for b in buckets for i in b.indices)
@@ -44,14 +53,16 @@ class TestBucketPlans:
                 assert nodes == list(plans[index].preorder())
                 assert plans[index].structure_signature() == bucket.graph.signature
 
-    def test_canonical_order_matches_group_by_structure(self, samples, vectorized):
+    def test_canonical_order_matches_group_by_structure(
+        self, samples, vectorized, bucket_plans
+    ):
         """Serving and training must resolve the same structure mix to the
         same (cached) level plan: identical signature order."""
         bucket_order = [b.graph.signature for b in bucket_plans([s.plan for s in samples])]
         group_order = [g.graph.signature for g in group_by_structure(vectorized)]
         assert bucket_order == group_order
 
-    def test_empty(self):
+    def test_empty(self, bucket_plans):
         assert bucket_plans([]) == []
 
 

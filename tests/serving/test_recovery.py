@@ -5,6 +5,8 @@ drift-detector state identical to an uninterrupted run and interrupted
 fine-tunes resumed bitwise (ISSUE 10 acceptance criteria)."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,17 @@ from repro.evaluation.drift import DriftMonitor, DriftThresholds
 from repro.featurize import Featurizer
 from repro.serving import (
     InferenceSession,
+    LifecycleConfig,
+    LifecycleError,
+    LifecycleManager,
     LifecycleState,
+    ModelRegistry,
+    PredictionService,
+    PromotionError,
     RecoveryError,
     ServiceRecovery,
 )
+from repro.serving import lifecycle
 from repro.serving.recovery import DRIFT_SNAPSHOT_NAME, MANIFEST_NAME
 from repro.testing import (
     LatencyDrift,
@@ -101,6 +110,24 @@ def serve_and_observe(service, samples):
         handle = service.submit(s.plan)
         handle.result(timeout=30)
         handle.observe(s.latency_ms)
+
+
+def spy_manifests(monkeypatch):
+    """Record ``(state, qpp bundle, cycle)`` of every manifest published
+    from now on (at the rename that makes it visible, whoever writes it)."""
+    published = []
+    real_replace = os.replace
+
+    def replace(src, dst, *args, **kwargs):
+        if Path(dst).name == MANIFEST_NAME:
+            payload = json.loads(Path(src).read_text())["payload"]
+            published.append(
+                (payload["state"], payload["models"]["qpp"], payload["cycle"])
+            )
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return published
 
 
 def reference_monitor(plans, baseline, records):
@@ -325,6 +352,51 @@ class TestKillDuringAppend:
         recovered.journal.close()
         stack.journal.close()
 
+    def test_failed_manifest_and_snapshot_writes_degrade_to_counters(
+        self, tmp_path, model, corpus, plans, baseline_rel_error, monkeypatch
+    ):
+        """A disk that stops taking the manager's atomic writes: the
+        state machine still advances, both counters count, the last
+        good manifest and snapshot stay valid, and recovery works."""
+        stack = make_stack(
+            tmp_path, model, plans, baseline_rel_error, fine_tune_epochs=1
+        )
+        manager = stack.manager
+        with stack.service:
+            serve_and_observe(stack.service, corpus[:40])
+            manager.poll()  # 40 >= drift_snapshot_every: snapshot lands
+            good_manifest = load_verified_json(tmp_path / MANIFEST_NAME)
+            good_snapshot = load_verified_json(tmp_path / DRIFT_SNAPSHOT_NAME)
+
+            def sick_disk(path, payload):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(lifecycle, "atomic_write_json", sick_disk)
+            serve_and_observe(stack.service, drifted_samples(40, seed=9))
+            manager.poll()  # past drift_snapshot_every again
+            manager.retrain()
+            manager.deploy_shadow()
+            manager.demote()
+        assert [state for state, _ in manager.events] == [
+            LifecycleState.RETRAINING,
+            LifecycleState.SHADOW,
+            LifecycleState.DEMOTED,
+        ]
+        assert manager.snapshot_errors == 1
+        assert manager.manifest_errors == 3
+        assert load_verified_json(tmp_path / MANIFEST_NAME) == good_manifest
+        assert load_verified_json(tmp_path / DRIFT_SNAPSHOT_NAME) == good_snapshot
+
+        monkeypatch.undo()
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.report.manifest_state == LifecycleState.LIVE
+        assert recovered.report.snapshot_used
+        assert recovered.report.snapshot_cursor == 40
+        assert recovered.report.suffix_observed == 40
+        assert recovered.manager.cursor == manager.cursor == 80
+        recovered.journal.close()
+        stack.journal.close()
+
 
 # ----------------------------------------------------------------------
 # Kill mid-retrain: bitwise resume through recovery (acceptance)
@@ -363,6 +435,45 @@ class TestKillMidRetrain:
         assert recovered.report.restored_state == LifecycleState.RETRAINING
         assert recovered.manager.state == LifecycleState.RETRAINING
         # epoch_hook is not JSON: the persisted config resumes without it.
+        history = recovered.manager.retrain()
+        candidate = recovered.manager._candidate.model
+        for (key, ref), (_, got) in zip(
+            sorted(reference_model.state_dict().items()),
+            sorted(candidate.state_dict().items()),
+        ):
+            assert np.array_equal(ref, got), key
+        assert history.train_loss == reference_history.train_loss
+        recovered.journal.close()
+        stack.journal.close()
+
+    def test_repeated_plans_resume_bitwise(
+        self, tmp_path, model, plans, baseline_rel_error
+    ):
+        """Plans observed twice: replay decodes every record into a new
+        plan object, so the recovered stream must not depend on plan
+        identity — same 64 samples live and replayed, same fit."""
+        state_dir = tmp_path / "state"
+        stack = make_stack(
+            state_dir,
+            model,
+            plans,
+            baseline_rel_error,
+            epoch_hook=kill_at_epoch(2),
+        )
+        drifted = drifted_samples(32, seed=9)
+        with stack.service:
+            serve_and_observe(stack.service, drifted + drifted)
+            stack.manager.poll()
+        samples = stack.manager.training_samples()
+        assert len(samples) == 64
+        reference_model, reference_history = fine_tune(
+            model, samples, epochs=4, checkpoint_dir=str(tmp_path / "reference")
+        )
+        with pytest.raises(SimulatedCrash):
+            stack.manager.retrain()
+
+        recovered = ServiceRecovery.recover(state_dir)
+        assert len(recovered.manager.training_samples()) == 64
         history = recovered.manager.retrain()
         candidate = recovered.manager._candidate.model
         for (key, ref), (_, got) in zip(
@@ -455,3 +566,131 @@ class TestLifecycleStateMapping:
             assert np.array_equal(ref, served.state_dict()[key]), key
         recovered.journal.close()
         stack.journal.close()
+
+    def test_refused_or_illegal_promotion_writes_nothing(
+        self, tmp_path, model, plans, baseline_rel_error, monkeypatch
+    ):
+        stack = make_stack(
+            tmp_path, model, plans, baseline_rel_error, fine_tune_epochs=1
+        )
+        bundles = tmp_path / "models" / "qpp"
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(48, seed=9))
+            stack.manager.poll()
+            stack.manager.retrain()
+            published = spy_manifests(monkeypatch)
+            with pytest.raises(LifecycleError, match="only legal from 'shadow'"):
+                stack.manager.promote()  # still retraining
+            assert [p.name for p in bundles.iterdir()] == ["cycle-000"]
+            stack.manager.deploy_shadow()
+            with pytest.raises(PromotionError, match="outcome-joined"):
+                stack.manager.promote()  # no shadow evidence yet
+            assert [p.name for p in bundles.iterdir()] == ["cycle-000"]
+            assert published == [(LifecycleState.SHADOW, "models/qpp/cycle-000", 0)]
+            stack.manager.demote()
+        assert [p.name for p in bundles.iterdir()] == ["cycle-000"]
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.manager.state == LifecycleState.LIVE
+        recovered.journal.close()
+        stack.journal.close()
+
+    def test_promotion_and_rollback_each_publish_one_manifest(
+        self, tmp_path, model, plans, baseline_rel_error, monkeypatch
+    ):
+        """State and pointer move in one write: no published manifest
+        says ``demoted`` while naming the rolled-back candidate."""
+        stack = make_stack(
+            tmp_path, model, plans, baseline_rel_error, fine_tune_epochs=1
+        )
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(48, seed=9))
+            stack.manager.poll()
+            stack.manager.retrain()
+            stack.manager.deploy_shadow()
+            published = spy_manifests(monkeypatch)
+            stack.manager.promote(force=True)
+            assert published == [
+                (LifecycleState.PROMOTED, "models/qpp/cycle-001", 0)
+            ]
+            stack.manager.demote()
+        # The rollback's one manifest also counts the completed cycle.
+        assert published == [
+            (LifecycleState.PROMOTED, "models/qpp/cycle-001", 0),
+            (LifecycleState.DEMOTED, "models/qpp/cycle-000", 1),
+        ]
+        assert load_verified_json(tmp_path / MANIFEST_NAME)["cycle"] == 1
+        recovered = ServiceRecovery.recover(tmp_path)
+        served = recovered.service.registry.model("qpp")
+        for key, ref in sorted(model.state_dict().items()):
+            assert np.array_equal(ref, served.state_dict()[key]), key
+        recovered.journal.close()
+        stack.journal.close()
+
+    @pytest.mark.parametrize("ending", ["reject", "rollback", "promoted", "stabilized"])
+    def test_next_cycle_after_restart_retrains_afresh(
+        self, tmp_path, model, plans, baseline_rel_error, ending
+    ):
+        """However the first cycle ended (or was cut short after its
+        promotion), a restart counts it as complete: the next retrain
+        writes ``checkpoints/cycle-002`` instead of resuming the first
+        candidate from ``cycle-001``."""
+        stack = make_stack(
+            tmp_path,
+            model,
+            plans,
+            baseline_rel_error,
+            fine_tune_epochs=1,
+            stabilize_outcomes=8,
+        )
+        manager = stack.manager
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(48, seed=9))
+            manager.poll()
+            manager.retrain()
+            manager.deploy_shadow()
+            if ending == "reject":
+                manager.demote()
+            else:
+                manager.promote(force=True)
+            if ending == "rollback":
+                manager.demote()
+            elif ending == "stabilized":
+                # Fewer outcomes than the detectors' min_observations:
+                # nothing can trigger, so the promotion settles.
+                serve_and_observe(stack.service, drifted_samples(8, seed=13))
+                manager.step()
+                assert manager.state == LifecycleState.LIVE
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == [
+            "cycle-001"
+        ]
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.manager.state == LifecycleState.LIVE
+        assert recovered.manager.cycle == 1
+        recovered.manager.retrain()
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == [
+            "cycle-001",
+            "cycle-002",
+        ]
+        recovered.journal.close()
+        stack.journal.close()
+
+
+def test_state_dir_pins_the_checkpoint_dir(tmp_path, model):
+    """A manager with a ``state_dir`` retrains where recovery looks."""
+    registry = ModelRegistry()
+    registry.register("qpp", model)
+    service = PredictionService(registry, default_model="qpp")
+    monitor = DriftMonitor(0.3)
+    LifecycleManager(
+        service,
+        monitor,
+        LifecycleConfig(checkpoint_dir=tmp_path / "checkpoints"),
+        state_dir=tmp_path,
+    )
+    with pytest.raises(LifecycleError, match="checkpoint_dir must be"):
+        LifecycleManager(
+            service,
+            monitor,
+            LifecycleConfig(checkpoint_dir=tmp_path / "elsewhere"),
+            state_dir=tmp_path,
+        )
