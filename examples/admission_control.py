@@ -5,12 +5,18 @@ control [51]": before running a query, decide whether it fits the
 remaining slice of an SLA budget.  This example trains QPP Net on TPC-DS,
 then plays the loop the way production plays it — *online*, through
 :class:`repro.serving.PredictionService`: queries arrive in bursts, each
-is ``submit``-ed to the service and its :class:`Prediction` future
-awaited, and the controller admits those whose *predicted* latency fits
-the budget.  The service dispatches on arrival: queries that arrive while
-a forward runs share the next level-fused batch, so the controller pays
-nothing for asking one query at a time.  We compare against an oracle
-(true latencies) and a naive optimizer-cost-threshold controller (TAM).
+is ``submit``-ed to the service with a ``deadline_ms`` for its
+prediction and its :class:`Prediction` future awaited, and the
+controller admits those whose *predicted* latency fits the budget.  A
+prediction that cannot arrive in time — the service's own queue-wait
+prediction sheds it at submit, or it expires while queued — raises
+:class:`~repro.serving.DeadlineExceededError`, and the controller
+rejects that query.  The service dispatches on arrival: queries that
+arrive while a forward runs form the next batch, which runs plan by plan
+through memoized per-structure plans when small and as one level-fused
+forward when larger, so the controller pays little for asking one query
+at a time.  We compare against an oracle (true latencies) and a naive
+optimizer-cost-threshold controller (TAM).
 
 Run:  python examples/admission_control.py
 """
@@ -20,11 +26,12 @@ import numpy as np
 from repro.baselines import TAMPredictor
 from repro.core import QPPNetConfig
 from repro.evaluation import train_qppnet_model
-from repro.serving import PredictionService
+from repro.serving import DeadlineExceededError, PredictionService
 from repro.workload import Workbench, template_holdout_split
 
 LATENCY_BUDGET_MS = 30_000.0  # 30 s per admitted query
 ARRIVAL_BURST = 16  # queries arriving close enough to coalesce
+DECISION_DEADLINE_MS = 250.0  # the controller's wait for one prediction
 
 
 def admit(predicted_ms: float) -> bool:
@@ -53,12 +60,22 @@ def main() -> None:
             burst = dataset.test[start : start + ARRIVAL_BURST]
             # Arrivals: each query is submitted individually — the service
             # batches whatever queued while its previous forward ran.
-            in_flight = [(sample, service.submit(sample.plan)) for sample in burst]
-            for sample, prediction in in_flight:
-                qpp_ms = prediction.result()  # await, then decide
+            in_flight = []
+            for sample in burst:
+                try:
+                    handle = service.submit(sample.plan, deadline_ms=DECISION_DEADLINE_MS)
+                except DeadlineExceededError:  # shed at submit: no prediction in time
+                    handle = None
+                in_flight.append((sample, handle))
+            for sample, handle in in_flight:
+                try:
+                    qpp_ms = handle.result() if handle is not None else None  # await
+                except DeadlineExceededError:  # expired while queued
+                    qpp_ms = None
                 truth_ok = sample.latency_ms <= LATENCY_BUDGET_MS
                 decisions = {
-                    "QPP Net": admit(qpp_ms),
+                    # No prediction before the deadline: reject the query.
+                    "QPP Net": qpp_ms is not None and admit(qpp_ms),
                     "TAM": admit(tam.predict(sample.plan)),
                     "oracle": truth_ok,
                 }
@@ -76,7 +93,9 @@ def main() -> None:
         print(f"{name:<10} {correct:>6}/{n:<3} {violations:>15}")
     print(f"\nserving: {stats.completed} predictions in {stats.batches} coalesced "
           f"batches (mean size {stats.mean_batch_size:.1f}); "
-          f"p50 {stats.p50_latency_ms:.2f}ms / p99 {stats.p99_latency_ms:.2f}ms")
+          f"p50 {stats.p50_latency_ms:.2f}ms / p99 {stats.p99_latency_ms:.2f}ms; "
+          f"{stats.deadline_rejected + stats.deadline_expired} missed the "
+          f"{DECISION_DEADLINE_MS:.0f}ms decision deadline (rejected)")
     print("\nA good predictor tracks the oracle: few wrong admissions and"
           " few wasted rejections, even on query templates it never saw.")
 

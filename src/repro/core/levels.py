@@ -38,6 +38,11 @@ Execution is symmetric in both directions:
   each child slot with one fancy index (a missing child reads a zero row
   kept past the last output row), and run the unit's MLP straight into
   the step's output block.  Training caches each step's activations.
+  Inference runs each unit's layers directly — matmul, bias add,
+  in-place activation, with no per-layer dispatch or width check — and
+  a step of one row (the common case in a one-plan plan) as a 1-D
+  vector chain whose input is one concatenate of its feature row and
+  its children's output rows.
 * :meth:`LevelPlan.backward` walks the steps in reverse, accumulating
   each unit's parameter gradients once per step (into
   :class:`~repro.nn.FlatParameterSpace` views when the trainer bound
@@ -377,7 +382,9 @@ class LevelPlan:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _forward(self, features: Mapping[LogicalType, np.ndarray], train: bool) -> LevelRun:
+    def _output_buffer(self, features: Mapping[LogicalType, np.ndarray]) -> np.ndarray:
+        """Check every feature matrix's shape, then allocate the output
+        rows plus one spare zero row: the output every missing child reads."""
         for ltype, rows in self.type_rows.items():
             shape = (rows, self._feature_widths[ltype])
             if features[ltype].shape != shape:
@@ -385,30 +392,28 @@ class LevelPlan:
                     f"{ltype.value} features must have shape {shape}, "
                     f"got {features[ltype].shape}"
                 )
-        n_rows, width, dtype = self.n_rows, self.width, self.dtype
-        # One spare zero row: the output every missing child reads.
-        buffer = np.empty((n_rows + 1, width), dtype=dtype)
-        buffer[n_rows] = 0.0
-        child_rows = self.child_rows
-        tapes: Optional[list[object]] = [] if train else None
-        for unit, level, lo, hi, feature_lo, _, _ in self.steps:
-            x = features[unit.logical_type][feature_lo : feature_lo + hi - lo]
-            if unit.arity:
-                fs = unit.feature_size
-                assembled = np.empty((hi - lo, unit.in_features), dtype=dtype)
-                assembled[:, :fs] = x
-                if level:
-                    for slot in range(unit.arity):
-                        col = fs + slot * width
-                        assembled[:, col : col + width] = buffer[child_rows[slot, lo:hi]]
-                else:
-                    assembled[:, fs:] = 0.0
-                x = assembled
-            if train:
-                tapes.append(unit.forward_train(x, out=buffer[lo:hi])[1])
-            else:
-                unit.forward_numpy(x, out=buffer[lo:hi])
-        return LevelRun(self, buffer[:n_rows], tapes)
+        buffer = np.empty((self.n_rows + 1, self.width), dtype=self.dtype)
+        buffer[self.n_rows] = 0.0
+        return buffer
+
+    def _assemble(
+        self, unit: "NeuralUnit", level: int, lo: int, hi: int, x: np.ndarray, buffer: np.ndarray
+    ) -> np.ndarray:
+        """Rows ``lo:hi``'s unit input: their features ``x``, then each
+        child slot's output rows, gathered with one fancy index (zeros at
+        level 0)."""
+        if not unit.arity:
+            return x
+        fs, width = unit.feature_size, self.width
+        assembled = np.empty((hi - lo, unit.in_features), dtype=self.dtype)
+        assembled[:, :fs] = x
+        if level:
+            for slot in range(unit.arity):
+                col = fs + slot * width
+                assembled[:, col : col + width] = buffer[self.child_rows[slot, lo:hi]]
+        else:
+            assembled[:, fs:] = 0.0
+        return assembled
 
     def forward_training(self, features: Mapping[LogicalType, np.ndarray]) -> LevelRun:
         """Level-order fused forward caching activations for :meth:`backward`.
@@ -416,11 +421,56 @@ class LevelPlan:
         ``features[t]`` is unit type ``t``'s ``(rows, f_t)`` matrix in
         step order (see :meth:`by_type`).
         """
-        return self._forward(features, train=True)
+        buffer = self._output_buffer(features)
+        tapes: list[object] = []
+        for unit, level, lo, hi, feature_lo, _, _ in self.steps:
+            x = features[unit.logical_type][feature_lo : feature_lo + hi - lo]
+            x = self._assemble(unit, level, lo, hi, x, buffer)
+            tapes.append(unit.forward_train(x, out=buffer[lo:hi])[1])
+        return LevelRun(self, buffer[: self.n_rows], tapes)
+
+    @cached_property
+    def _layers(self) -> tuple[tuple, ...]:
+        """Per step, its unit's :meth:`~repro.core.unit.NeuralUnit.inference_layers`."""
+        chains: dict = {}
+        for step in self.steps:
+            if step.unit not in chains:
+                chains[step.unit] = step.unit.inference_layers()
+        return tuple(chains[step.unit] for step in self.steps)
 
     def forward_inference(self, features: Mapping[LogicalType, np.ndarray]) -> LevelRun:
-        """Tape-free fused forward (the serving path)."""
-        return self._forward(features, train=False)
+        """Tape-free fused forward (the serving path).
+
+        Each step runs its unit's layers directly, reading every weight
+        and bias at call time (parameters change in place: a loaded
+        state dict, a trainer's flat parameter space); the shape check
+        guarantees every width.  A one-row step runs as a 1-D vector
+        chain, which numpy sends to the same BLAS kernel as a one-row
+        matrix, so its values equal the 2-D form's.
+        """
+        buffer = self._output_buffer(features)
+        child_rows, zero_row = self.child_rows, self.n_rows
+        for (unit, level, lo, hi, feature_lo, _, _), (hidden, last) in zip(
+            self.steps, self._layers
+        ):
+            x, arity = features[unit.logical_type], unit.arity
+            if hi - lo == 1:
+                rows, x = lo, x[feature_lo]
+                if arity:
+                    kids = child_rows[:arity, lo].tolist() if level else [zero_row] * arity
+                    x = np.concatenate([x, *[buffer[kid] for kid in kids]])
+            else:
+                rows, x = slice(lo, hi), x[feature_lo : feature_lo + hi - lo]
+                x = self._assemble(unit, level, lo, hi, x, buffer)
+            # matmul, not dot: np.dot drops the GIL around every BLAS
+            # call, a thread switch per layer under a concurrent submitter.
+            for linear, activate in hidden:
+                x = x @ linear.weight.data
+                x += linear.bias.data
+                activate(x)
+            y = np.matmul(x, last.weight.data, out=buffer[rows])
+            y += last.bias.data
+        return LevelRun(self, buffer[:zero_row], None)
 
     def alloc_output_grads(self) -> np.ndarray:
         """Zeroed ``(n_rows, d+1)`` gradient seed for :meth:`backward`.

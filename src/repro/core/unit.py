@@ -10,7 +10,7 @@ vector consumed by the parent unit (Eq. 5/6).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,20 +64,20 @@ class NeuralUnit(nn.Module):
             )
         return self.net(x)
 
-    def forward_numpy(
-        self, x: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Tape-free forward over an already-assembled input matrix.
+    def inference_layers(self) -> tuple[tuple[tuple[nn.Linear, Callable], ...], nn.Linear]:
+        """The layer stack as ``(hidden, last)`` for executors that run
+        the layers directly (:meth:`~repro.core.levels.LevelPlan.forward_inference`).
 
-        ``out``, when given, receives the output in place (the level-fused
-        engine points it at the unit's block of the global output matrix).
+        ``hidden`` pairs each hidden :class:`~repro.nn.Linear` of the
+        :func:`~repro.nn.mlp` stack with the in-place forward of the
+        activation after it; ``last`` is the output layer.  Layers, not
+        arrays: the caller reads each layer's weight and bias when it
+        runs it.  Built on each call and never stored on the unit, whose
+        parameter walk would list a stored chain's weights twice.
         """
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"{self.logical_type.value} unit expected width {self.in_features}, "
-                f"got {x.shape[-1]}"
-            )
-        return self.net.forward_numpy(x, out=out)
+        modules = self.net.modules
+        activations = [module.forward_inplace for module in modules[1::2]]
+        return tuple(zip(modules[:-1:2], activations)), modules[-1]
 
     def forward_train(
         self, x: np.ndarray, out: Optional[np.ndarray] = None

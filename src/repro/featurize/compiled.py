@@ -373,10 +373,20 @@ class FeatureProgramCache:
         Preserves first-appearance type order, matching the grouping the
         serving session has always used, so every position's rows land at
         the same offsets as before.
+
+        Lock-free: the serving drain thread and a lifecycle retrain's
+        pre-grouping share this cache (one featurizer), and another
+        thread may evict an entry between this lookup and its LRU bump,
+        or empty the table under the eviction loop.  Neither raises: a
+        layout is an immutable tuple, and a lost bump costs a recompute.
         """
-        layout = self._layouts.get(graph.signature)
+        layouts = self._layouts
+        layout = layouts.get(graph.signature)
         if layout is not None:
-            self._layouts.move_to_end(graph.signature)
+            try:
+                layouts.move_to_end(graph.signature)
+            except KeyError:  # evicted by another thread since the lookup
+                pass
             return layout
         positions_by_type: dict[LogicalType, list[int]] = {}
         for pos, ltype in enumerate(graph.types):
@@ -385,9 +395,12 @@ class FeatureProgramCache:
             (self.program(ltype), tuple(positions))
             for ltype, positions in positions_by_type.items()
         )
-        self._layouts[graph.signature] = layout
-        while len(self._layouts) > self.max_layouts:
-            self._layouts.popitem(last=False)
+        layouts[graph.signature] = layout
+        while len(layouts) > self.max_layouts:
+            try:
+                layouts.popitem(last=False)
+            except KeyError:  # emptied by another thread since the check
+                break
         return layout
 
     def digest(self, graph: "PlanGraph", nodes: Sequence["PlanNode"]) -> tuple:

@@ -27,13 +27,15 @@ class Module:
         return self.forward(x)
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward over a raw array (serving hot path).
+        """Tape-free forward over a raw array.
 
-        Subclasses on the inference hot path override this with pure
-        numpy arithmetic that is bit-identical to :meth:`forward`; the
-        fallback routes through :meth:`forward` under
-        :func:`~repro.nn.tensor.inference_mode`, which is slower but
-        always consistent.
+        :class:`Linear`, the activations and :class:`Sequential` override
+        this with pure numpy arithmetic that is bit-identical to
+        :meth:`forward`; the fallback routes through :meth:`forward`
+        under :func:`~repro.nn.tensor.inference_mode`, which is slower
+        but always consistent.  (The serving executor runs the layers of
+        a neural unit directly instead; see
+        :meth:`~repro.core.unit.NeuralUnit.inference_layers`.)
         """
         with inference_mode():
             return self.forward(Tensor(x)).data
@@ -164,17 +166,12 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def forward_numpy(
-        self, x: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Tape-free forward; ``out`` targets the matmul at a caller buffer
-        (e.g. a level-fused plan's global output block) instead of a fresh
-        allocation.  ``out`` must not alias ``x``."""
+    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"Linear expected input of width {self.in_features}, got {x.shape[-1]}"
             )
-        y = np.matmul(x, self.weight.data, out=out) if out is not None else x @ self.weight.data
+        y = x @ self.weight.data
         if self.bias is not None:
             y += self.bias.data
         return y
@@ -310,19 +307,12 @@ class Sequential(Module):
             x = module(x)
         return x
 
-    def forward_numpy(
-        self, x: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Tape-free forward; ``out``, when given, is forwarded to the final
-        module (which must accept it — the unit stacks built by :func:`mlp`
-        always end in a :class:`Linear`).  An activation that follows a
+    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free forward.  An activation that follows a
         :class:`Linear` runs in place on that layer's fresh output — a
         temporary this stack owns — instead of allocating another."""
-        last = len(self.modules) - 1
         owned = False
-        for i, module in enumerate(self.modules):
-            if i == last and out is not None:
-                return module.forward_numpy(x, out=out)
+        for module in self.modules:
             if owned and isinstance(module, Activation):
                 module.forward_inplace(x)
             else:

@@ -8,33 +8,37 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
    Callers :meth:`~PredictionService.submit` individual plans (from any
    number of threads) and get :class:`Prediction` futures back; a
    drain loop takes whatever is queued, up to ``max_batch_size``, as
-   soon as it is free and executes that mixed-structure batch as ONE
-   level-fused forward.  Requests that arrive during a forward form the
+   soon as it is free and executes that mixed-structure batch through
+   the routed model's session.  Requests that arrive during a forward form the
    next batch, so batch size follows load with no timer
    (``max_wait_ms`` adds an opt-in linger).  The service owns model
    routing (a name per request, resolved through a
    :class:`ModelRegistry`, hot-swappable under traffic), backpressure
-   (bounded queue + admission hook, rejecting with typed
+   (bounded queue + deadline admission, rejecting with typed
    :class:`~repro.serving.service.ServiceError` subclasses), clean
    start/stop draining semantics, and a :meth:`~PredictionService.stats`
    snapshot (queue depth, coalesced batch sizes, p50/p99 latency, and
    feature-cache hit/miss/eviction counters aggregated across sessions).
 
 2. :class:`InferenceSession` — the synchronous building block the
-   service drains into.  ``predict_batch`` buckets the batch by
+   service drains into.  A batch of at most
+   :attr:`InferenceSession.MAX_PLAN_BY_PLAN` (4) plans — the usual
+   batch when the drain loop keeps up — runs plan by plan, each plan
+   through its structure's memoized one-plan
+   :class:`~repro.core.levels.LevelPlan`, so it compiles nothing and
+   each value equals its batch-of-one value; below that size fusion
+   saves less than its compile costs.  A larger batch is bucketed by
    structure signature (in the canonical sorted-signature order that
    training's :func:`repro.core.batching.group_by_structure` also
-   uses) and compiles it into a
-   :class:`~repro.core.levels.LevelPlan` — numpy over each structure's
-   cached index arrays; a batch of one reuses its structure's memoized
-   plan instead.  It then builds the features as one matrix per
+   uses) and compiled into one level plan — numpy over each
+   structure's cached index arrays.  Features come as one matrix per
    operator type: each plan's rows come from a bounded plan-identity
    feature-vector cache when its digest hits (byte-for-byte the rows a
-   miss would compute), the misses of the whole batch run through one
-   compiled feature program (:mod:`repro.featurize.compiled`) per type,
-   and one concatenate plus one ``take`` per type put the rows in the
-   plan's step order.  The whole batch then runs tape-free as one fused
-   forward, and the root rows scatter back to request order.
+   miss would compute), the misses run through one compiled feature
+   program (:mod:`repro.featurize.compiled`) per type, and one ``take``
+   per type (after one concatenate, in a fused batch) puts the rows in
+   the plan's step order.  Each plan, or the whole fused batch, then
+   runs tape-free, and the root rows scatter back to request order.
    ``predict`` is a batch of one through the same path.  Every predict
    entry point raises :class:`NonFinitePrediction` rather than return
    NaN.  Sessions are single-threaded by design — the service's drain
@@ -43,7 +47,8 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
 3. :class:`~repro.core.levels.LevelPlan` (in ``repro.core``) — the
    fused executor both of the above bottom out in: one matmul per unit
    type per tree depth across every structure bucket, each step's input
-   assembled with one feature-block copy and one gather per child slot;
+   assembled with one feature-block copy and one gather per child slot,
+   its layers run directly (a one-row step as a 1-D vector chain);
    identical numerics to the taped per-plan ``model.predict`` reference
    at <= 1e-9.
 
@@ -69,8 +74,6 @@ the whole burst is rejected all-or-nothing):
   registry does not hold (or no default model is configured).
 * :class:`QueueFullError` — bounded-queue backpressure
   (``max_queue_depth``).
-* :class:`AdmissionRejected` — the caller-supplied ``admission_hook``
-  refused the request.
 * :class:`DeadlineExceededError` (``shed_at="admission"``) — the
   service's own queue-wait prediction (drain-rate EWMA x queue depth +
   what remains of a configured window) already exceeds the request's
@@ -270,7 +273,6 @@ from .resilience import (
     heuristic_latency_ms,
 )
 from .service import (
-    AdmissionRejected,
     OutcomeLog,
     OutcomeRecord,
     Prediction,
@@ -305,7 +307,6 @@ __all__ = [
     "ServiceStats",
     "ServiceError",
     "QueueFullError",
-    "AdmissionRejected",
     "ServiceStoppedError",
     "UnknownModelError",
     "InvalidPlanError",

@@ -8,11 +8,12 @@ Callers ``submit(plan)`` (or ``submit_many``) and get back a
 :class:`Prediction` — a future-like handle — while a background drain
 loop dispatches on arrival: as soon as it is free it takes whatever is
 queued, up to ``max_batch_size``, and runs that mixed-structure batch
-through ONE fused forward via the routed model's session.  Requests that
-arrive during a forward form the next batch, so batch size follows load
-with no timer: one plan at a time when traffic is light, full batches
-under a burst.  Independently submitted plans thus share matmuls exactly
-as if one caller had batched them by hand.  ``max_wait_ms`` adds an
+through the routed model's session: one fused forward, or plan by plan
+when the batch is too small for fusion to pay.  Requests that arrive
+during a forward form the next batch, so batch size follows load with
+no timer: one plan at a time when traffic is light, full batches under
+a burst.  Independently submitted plans thus share matmuls exactly as
+if one caller had batched them by hand.  ``max_wait_ms`` adds an
 opt-in linger for callers that prefer larger batches to lower latency.
 
 The service owns the operational surface around that loop:
@@ -23,9 +24,9 @@ The service owns the operational surface around that loop:
   traffic.  Unknown names fail at submit time with
   :class:`UnknownModelError`.
 * **backpressure** — the queue is bounded (``max_queue_depth``); an
-  overfull queue rejects with :class:`QueueFullError`, and an optional
-  ``admission_hook`` can shed load earlier (reject → typed
-  :class:`AdmissionRejected` at the submit site, never a dropped
+  overfull queue rejects with :class:`QueueFullError`, and a request
+  whose ``deadline_ms`` the predicted queue wait already exceeds is shed
+  at the submit site (:class:`DeadlineExceededError`, never a dropped
   future).
 * **lifecycle** — ``start`` / ``stop(drain=True)`` (or the context
   manager): stop refuses new submits with :class:`ServiceStoppedError`,
@@ -47,7 +48,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -95,10 +96,6 @@ class QueueFullError(ServiceError):
     def __init__(self, depth: int) -> None:
         super().__init__(f"request queue is full ({depth} pending)")
         self.depth = depth
-
-
-class AdmissionRejected(ServiceError):
-    """The service's ``admission_hook`` refused the request."""
 
 
 class ServiceStoppedError(ServiceError):
@@ -426,10 +423,6 @@ class OutcomeLog:
 # ----------------------------------------------------------------------
 # The service
 # ----------------------------------------------------------------------
-#: Admission hook signature: ``(plan, model name, queue depth) -> admit?``.
-AdmissionHook = Callable[[PlanNode, str, int], bool]
-
-
 class PredictionService:
     """Request-oriented front-end over one or many inference sessions.
 
@@ -455,11 +448,6 @@ class PredictionService:
     max_queue_depth:
         Bounded-queue backpressure limit; beyond it ``submit`` raises
         :class:`QueueFullError`.
-    admission_hook:
-        Optional load-shedding predicate ``(plan, model, queue_depth) ->
-        bool`` run at the submit site, outside the service lock (it may
-        freely call :meth:`stats`); ``False`` raises
-        :class:`AdmissionRejected` before the request ever queues.
     resilience:
         The :class:`~repro.serving.resilience.ResiliencePolicy` governing
         plan validation, deadlines, poison isolation, circuit breaking
@@ -476,7 +464,6 @@ class PredictionService:
         max_batch_size: int = 64,
         max_wait_ms: float = 0.0,
         max_queue_depth: int = 4096,
-        admission_hook: Optional[AdmissionHook] = None,
         resilience: Optional[ResiliencePolicy] = None,
         outcome_log_size: int = OUTCOME_LOG_SIZE,
         outcomes: Optional[OutcomeLog] = None,
@@ -505,7 +492,6 @@ class PredictionService:
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.max_queue_depth = max_queue_depth
-        self.admission_hook = admission_hook
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         #: Observed-latency journal fed by ``record_outcome`` /
         #: ``Prediction.observe`` (its own lock; never under self._lock).
@@ -631,7 +617,7 @@ class PredictionService:
         """Admit one plan; returns its :class:`Prediction` handle.
 
         Admission is synchronous and typed: validation, routing,
-        backpressure, deadlines and the admission hook all reject *here*
+        backpressure and deadlines all reject *here*
         (the returned handle, once you hold one, can only fail through
         execution itself).  Requests may be submitted before
         :meth:`start`; they queue until the drain loop runs.
@@ -656,8 +642,8 @@ class PredictionService:
         One lock acquisition admits the whole burst, so no caller is left
         holding handles for half an admitted burst: if the queue cannot
         take ``len(plans)`` more requests, any member fails validation,
-        the deadline is already unmeetable, or the admission hook refuses
-        any member, the typed error is raised and *nothing* queues.
+        or the deadline is already unmeetable, the typed error is raised
+        and *nothing* queues.
         """
         if not plans:
             return []
@@ -667,11 +653,10 @@ class PredictionService:
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if self._stopping or self._stopped:
-            # Checked before routing and the admission hook so a stopped
-            # service reports itself as stopped — never as a routing
-            # failure or transient load-shedding a client would retry.
-            # (Unlocked read; the authoritative re-check runs under the
-            # lock below.)
+            # Checked before routing so a stopped service reports itself
+            # as stopped — never as a routing failure a client would
+            # retry.  (Unlocked read; the authoritative re-check runs
+            # under the lock below.)
             raise ServiceStoppedError("service is stopped")
         name = model if model is not None else self.default_model
         if name is None:
@@ -705,21 +690,6 @@ class PredictionService:
                 self._rejected += len(plans)
                 self._breaker_rejected += len(plans)
             raise CircuitOpenError(name, breaker.retry_after_ms())
-        if self.admission_hook is not None:
-            # Outside the service lock: the hook may inspect the service
-            # itself (stats(), queue state) without deadlocking, and a
-            # slow hook never stalls the drain loop or other submitters.
-            # The depth it sees is therefore a snapshot; the hard bound
-            # is enforced under the lock below.
-            depth = len(self._queue)
-            for plan in plans:
-                if not self.admission_hook(plan, name, depth):
-                    with self._lock:
-                        self._rejected += len(plans)
-                    raise AdmissionRejected(
-                        f"admission hook rejected request for model {name!r} "
-                        f"(burst of {len(plans)}, queue depth {depth})"
-                    )
         with self._lock:
             if self._stopping or self._stopped:
                 raise ServiceStoppedError("service is stopped")

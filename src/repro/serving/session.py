@@ -5,20 +5,25 @@ overview.  A session is cheap to construct but meant to be long-lived:
 its feature cache, per-type stacking buffers and the model's
 per-structure level arrays reach a steady state after the first few
 batches of a template workload.  Nothing is kept per structure *mix*:
-a multi-plan batch's :class:`~repro.core.levels.LevelPlan` is compiled
-with numpy on every call and dropped with it.  The one exception is per
-structure: a batch of one plan, the common case when the service
-dispatches on arrival, reuses its structure's one-plan level plan,
-memoized beside the structure's graph under the same bound.
+a fused batch's :class:`~repro.core.levels.LevelPlan` is compiled with
+numpy on every call and dropped with it.  What is kept is per
+structure: its one-plan level plan, memoized beside the structure's
+graph under the same bound (:attr:`InferenceSession.MAX_STRUCTURES`).
 
 Two paths, one fast and one reference:
 
-* **level-fused** (fast) — ``predict_batch`` buckets the request batch
-  by structure signature, compiles one
-  :class:`~repro.core.levels.LevelPlan` for the buckets, builds one
-  feature matrix per operator type in the plan's step order, and runs
-  the whole mixed-structure batch as one forward: one matmul per unit
-  type per tree depth.  Every session entry point runs through it;
+* **level-fused** (fast) — a batch of at most
+  :attr:`InferenceSession.MAX_PLAN_BY_PLAN` (4) plans, the common case
+  when the service dispatches on arrival, runs plan by plan: each plan
+  through its structure's memoized one-plan level plan, so nothing
+  compiles.  Below that size a fused batch costs more per plan than
+  the same plans one by one (measured crossover between 4 and 6 plans
+  on templated TPC-H and ad-hoc TPC-DS pools).  A larger batch is
+  bucketed by structure signature and compiled into one
+  :class:`~repro.core.levels.LevelPlan`, whose features are one matrix
+  per operator type in the plan's step order, and the whole
+  mixed-structure batch runs as one forward: one matmul per unit type
+  per tree depth.  Every session entry point runs through this path;
   ``predict`` is a batch of one;
 * **taped** (reference) — :meth:`~repro.core.model.QPPNet.predict`
   runs one plan through the model's taped schedule, sharing none of
@@ -29,9 +34,10 @@ batch-mates, but only through floating-point rounding (BLAS may sum a
 row's products in an order that depends on the stacked matrix's
 shape).  In float64, every value of a batch agrees with
 ``predict_batch([plan])[0]`` to <= 1e-11 relative, and with the taped
-``QPPNet.predict`` to <= 1e-9 relative.  Values are bitwise
-reproducible only for the same batch, which is why poison isolation
-recomputes a batch's survivors as one batch.
+``QPPNet.predict`` to <= 1e-9 relative.  In a batch run plan by plan,
+each value *is* its batch-of-one value, in either precision.  Values
+are bitwise reproducible only for the same batch, which is why poison
+isolation recomputes a batch's survivors as one batch.
 
 The session featurizes through the compiled tier
 (:mod:`repro.featurize.compiled`): per-type feature *programs* replace
@@ -39,20 +45,19 @@ the per-node schema walk, and a bounded LRU **feature-vector cache**
 keyed on plan identity (structure signature + every property the
 programs read) lets repeated templated queries skip featurization
 entirely — a hit is a row copy, byte-for-byte identical to the rows a
-miss would compute.  In a batch, the misses of every bucket run together
-through one program call per type.  Hit/miss/eviction counters surface
-through :meth:`InferenceSession.stats` and aggregate into
-``PredictionService.stats()``.
+miss would compute.  In a fused batch, the misses of every bucket run
+together through one program call per type.  Hit/miss/eviction
+counters surface through :meth:`InferenceSession.stats` and aggregate
+into ``PredictionService.stats()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro import nn
 from repro.core.batching import BufferPool, PlanBucket, plan_graph
 from repro.core.levels import LevelPlan
 from repro.core.model import MIN_PREDICTION_MS, QPPNet
@@ -94,11 +99,18 @@ class InferenceSession:
 
     #: Bound on the memoized structure table (preorder ``(op, arity)``
     #: walk -> compiled :class:`PlanGraph`, plus its one-plan
-    #: :class:`LevelPlan` once a batch of one has used it), which lets
-    #: repeat structures skip the per-plan signature-string walk on the
-    #: hot path, and a batch of one skip its compile.  FIFO eviction:
-    #: the table is tiny and rebuilt on demand.
+    #: :class:`LevelPlan` once a plan-by-plan batch has used it), which
+    #: lets repeat structures skip the per-plan signature-string walk on
+    #: the hot path, and small batches skip their compile.  FIFO
+    #: eviction: the table is tiny and rebuilt on demand.
     MAX_STRUCTURES = 1024
+
+    #: Batches of at most this many plans run plan by plan through the
+    #: memoized one-plan level plans.  Up to here a fused batch's compile
+    #: and row geometry cost more per plan than its shared matmuls save
+    #: (measured on templated TPC-H and ad-hoc TPC-DS pools: fused costs
+    #: 1.2x plan by plan at 4 plans, 0.9-1.0x at 6).
+    MAX_PLAN_BY_PLAN = 4
 
     def __init__(
         self,
@@ -147,12 +159,12 @@ class InferenceSession:
         """
         if not plans:
             return np.empty(0)
-        buckets, level_plan, out = self._run(plans)
         scale = self.featurizer.latency_scale_ms
         values = np.empty(len(plans))
-        values[[i for bucket in buckets for i in bucket.indices]] = np.maximum(
-            MIN_PREDICTION_MS, out[level_plan.root_rows, 0] * scale
-        )
+        for buckets, level_plan, out in self._runs(plans):
+            values[[i for bucket in buckets for i in bucket.indices]] = np.maximum(
+                MIN_PREDICTION_MS, out[level_plan.root_rows, 0] * scale
+            )
         if not np.isfinite(values).all():
             # Typed, never silent: name the model and the offending
             # plans so the service can treat exactly these requests as
@@ -174,23 +186,26 @@ class InferenceSession:
         """
         if not plans:
             return []
-        buckets, level_plan, out = self._run(plans)
-        latency = np.maximum(MIN_PREDICTION_MS, out[:, 0] * self.featurizer.latency_scale_ms)
-        finite = np.isfinite(latency)
-        if not finite.all():
-            requests = [i for bucket in buckets for i in bucket.indices]
-            bad = sorted(
-                requests[m] for m in np.unique(level_plan.row_member[~finite]).tolist()
-            )
+        scale = self.featurizer.latency_scale_ms
+        results: list[list[float]] = [[] for _ in plans]
+        bad: list[int] = []
+        for buckets, level_plan, out in self._runs(plans):
+            latency = np.maximum(MIN_PREDICTION_MS, out[:, 0] * scale)
+            finite = np.isfinite(latency)
+            if not finite.all():
+                requests = [i for bucket in buckets for i in bucket.indices]
+                bad += [requests[m] for m in np.unique(level_plan.row_member[~finite]).tolist()]
+                continue
+            for gi, bucket in enumerate(buckets):
+                first = level_plan.node_offset[gi]
+                rows = level_plan.node_start[first : first + bucket.graph.n_nodes]
+                for j, index in enumerate(bucket.indices):
+                    results[index] = latency[rows + j].tolist()
+        if bad:
+            bad.sort()
             raise NonFinitePrediction(
                 repr(self.model), [plans[i].structure_signature() for i in bad], bad
             )
-        results: list[list[float]] = [[] for _ in plans]
-        for gi, bucket in enumerate(buckets):
-            first = level_plan.node_offset[gi]
-            rows = level_plan.node_start[first : first + bucket.graph.n_nodes]
-            for j, index in enumerate(bucket.indices):
-                results[index] = latency[rows + j].tolist()
         self.requests_served += len(plans)
         return results
 
@@ -269,48 +284,55 @@ class InferenceSession:
         return [buckets[signature] for signature in sorted(buckets)]
 
     # ------------------------------------------------------------------
-    # Level-fused whole-batch execution
+    # Execution: plan by plan, or one level-fused forward
     # ------------------------------------------------------------------
-    def _run(
+    def _runs(
         self, plans: Sequence[PlanNode]
-    ) -> tuple[list[PlanBucket], LevelPlan, np.ndarray]:
-        """``(buckets, level plan, (rows, d+1) outputs)`` of one batch.
+    ) -> Iterator[tuple[list[PlanBucket], LevelPlan, np.ndarray]]:
+        """The batch's forwards: ``(buckets, level plan, (rows, d+1) outputs)``.
 
-        The entire request batch runs as *one* level-fused forward:
-        every unit type × tree depth is one stacked matmul across all
-        buckets.  Callers guarantee ``plans`` is non-empty.
+        A batch of at most :attr:`MAX_PLAN_BY_PLAN` plans runs plan by
+        plan, each through its structure's memoized one-plan level plan,
+        so it compiles nothing and each value is exactly its batch-of-one
+        value.  A larger batch runs as *one* level-fused forward: every
+        unit type × tree depth is one stacked matmul across all buckets.
+        Callers guarantee ``plans`` is non-empty.
         """
-        buckets, level_plan, features = self._prepare(plans)
-        # The tape flag is scoped around the forward only: the fused
-        # forward is numpy throughout, but any custom module falling
-        # back to taped forward stays tape-free.
-        with nn.inference_mode():
-            run = level_plan.forward_inference(features)
-        return buckets, level_plan, run.out
+        if len(plans) > self.MAX_PLAN_BY_PLAN:
+            prepared: Iterable = [self._prepare(plans)]
+        else:
+            prepared = map(self._prepare_one, range(len(plans)), plans)
+        for buckets, level_plan, features in prepared:
+            yield buckets, level_plan, level_plan.forward_inference(features).out
+
+    def _prepare_one(
+        self, index: int, plan: PlanNode
+    ) -> tuple[list[PlanBucket], LevelPlan, dict[LogicalType, np.ndarray]]:
+        """Request ``index`` alone: its structure's memoized one-plan level
+        plan (compiled on first use) and its features.  A plan holds no
+        per-call state, and the model's units are bound once, so a memo
+        hit runs exactly what a compile would."""
+        entry, nodes = self._resolve_plan(plan)
+        graph, level_plan = entry
+        if level_plan is None:
+            level_plan = entry[1] = self.model.compile_level_plan([graph], [1])
+        buckets = [PlanBucket(graph, [index], [nodes])]
+        return buckets, level_plan, self._featurize(buckets, level_plan)
 
     def _prepare(
         self, plans: Sequence[PlanNode]
     ) -> tuple[list[PlanBucket], LevelPlan, dict[LogicalType, np.ndarray]]:
-        """Bucket, compile and featurize: ``(buckets, level plan, features)``.
+        """Bucket, compile and featurize a fused batch:
+        ``(buckets, level plan, features)``.
 
         Canonical (sorted-by-signature) bucket order matches the order
         group_by_structure/PreGroupedCorpus produce, so serving and
-        training lay the same structure mix out identically.  A batch
-        of one reuses its structure's memoized plan, row geometry
-        included; a plan holds no per-call state, and the model's units
-        are bound once, so a hit runs exactly what a compile would.
+        training lay the same structure mix out identically.
         """
-        if len(plans) == 1:
-            entry, nodes = self._resolve_plan(plans[0])
-            graph, level_plan = entry
-            if level_plan is None:
-                level_plan = entry[1] = self.model.compile_level_plan([graph], [1])
-            buckets = [PlanBucket(graph, [0], [nodes])]
-        else:
-            buckets = self._bucket(plans)
-            level_plan = self.model.compile_level_plan(
-                [b.graph for b in buckets], [len(b.indices) for b in buckets]
-            )
+        buckets = self._bucket(plans)
+        level_plan = self.model.compile_level_plan(
+            [b.graph for b in buckets], [len(b.indices) for b in buckets]
+        )
         return buckets, level_plan, self._featurize(buckets, level_plan)
 
     def _featurize(
@@ -324,8 +346,9 @@ class InferenceSession:
         logical type, and each miss's blocks are cached.  The plans'
         blocks form one member-major matrix per type (see
         :attr:`~repro.core.levels.LevelPlan.member_index`) — the program
-        output itself when every plan missed, else one concatenate — and
-        one ``take`` per type puts its rows in step order.
+        output itself when every plan missed, one plan's cached blocks,
+        else one concatenate — and one ``take`` per type puts its rows in
+        step order, into a pooled buffer unless the batch is one plan.
         """
         programs, cache = self.programs, self.feature_cache
         layouts = [programs.layout(b.graph) for b in buckets for _ in b.indices]
@@ -348,6 +371,15 @@ class InferenceSession:
                         cursor[program.ltype] = end = at + len(positions)
                         blocks[program.ltype] = sources[program.ltype][at:end].copy()
                     cache.put(digests[m], blocks)
+        if len(nodes) == 1:
+            # One plan: its blocks are the source, and fresh rows are
+            # cheaper than a pooled buffer at this size.
+            if not missed:
+                sources = entries[0]
+            return {
+                ltype: sources[ltype].take(rows, axis=0)
+                for ltype, rows in level_plan.member_index.items()
+            }
         if len(missed) < len(nodes):
             parts: dict = {}
             for entry, layout in zip(entries, layouts):

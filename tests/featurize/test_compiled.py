@@ -11,6 +11,8 @@ feature-vector cache must behave as a bounded LRU whose hits are
 byte-for-byte the rows a miss would compute.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,26 @@ class TestFeatureProgramCache:
             programs.layout(graph)
         assert len(programs._layouts) == 2
         assert graphs[0].signature not in programs._layouts  # oldest evicted
+
+    def test_concurrent_eviction_after_lookup_does_not_raise(self, fitted):
+        """Two threads share the cache (the drain thread and a retrain's
+        pre-grouping): one's insert may evict the layout the other just
+        looked up, before its LRU bump.  A table whose ``get`` evicts the
+        key it returns makes that interleaving deterministic."""
+
+        class EvictOnGet(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.pop(key, None)
+                return value
+
+        featurizer, corpus = fitted
+        programs = FeatureProgramCache(featurizer)
+        graph = plan_graph(corpus[0].plan)
+        layout = programs.layout(graph)
+        programs._layouts = EvictOnGet(programs._layouts)
+        assert programs.layout(graph) is layout
+        assert programs.layout(graph) == layout  # rebuilt after the eviction
 
     def test_invalid_max_layouts(self, fitted):
         featurizer, _ = fitted

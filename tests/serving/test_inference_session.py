@@ -315,8 +315,11 @@ class TestOnePlanMemo:
         session.predict_operators_batch([a])
         session.predict(b)
         assert compile_calls == [[1]]
-        session.predict_batch([a, b])  # multi-plan batches still compile
-        assert compile_calls == [[1], [2]]
+        session.predict_batch([a, b])  # a small batch runs plan by plan
+        assert compile_calls == [[1]]
+        fused = [s.plan for s in corpus[: InferenceSession.MAX_PLAN_BY_PLAN + 1]]
+        session.predict_batch(fused)  # past the crossover: one fused compile
+        assert len(compile_calls) == 2 and sum(compile_calls[1]) == len(fused)
 
     def test_memo_is_bounded_fifo(self, model, corpus, compile_calls, monkeypatch):
         monkeypatch.setattr(InferenceSession, "MAX_STRUCTURES", 2)
@@ -333,6 +336,78 @@ class TestOnePlanMemo:
         session.predict_batch([y])
         assert len(compile_calls) == 5
         assert len(session._structures) == 2
+
+
+class TestPlanByPlan:
+    """A batch of at most ``MAX_PLAN_BY_PLAN`` plans runs plan by plan
+    through the memoized one-plan level plans: every value is exactly
+    its batch-of-one value."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_small_batches_equal_batches_of_one(self, corpus, dtype):
+        config = QPPNetConfig(
+            hidden_layers=2, neurons=16, data_size=4, epochs=2, batch_size=16, dtype=dtype
+        )
+        model = QPPNet(Featurizer().fit([s.plan for s in corpus]), config)
+        Trainer(model, config).fit(corpus)  # trained: values off the floor
+        plans = [s.plan for s in corpus]
+        alone = InferenceSession(model)
+        single = [alone.predict_batch([plan]) for plan in plans]
+        operators = [alone.predict_operators_batch([plan])[0] for plan in plans]
+        session = InferenceSession(model)
+        rng = np.random.default_rng(5)
+        served_plans = 0
+        for _ in range(40):
+            size = int(rng.integers(2, InferenceSession.MAX_PLAN_BY_PLAN + 1))
+            picks = rng.integers(0, len(plans), size)
+            batch = [plans[i] for i in picks]
+            served = session.predict_batch(batch)
+            assert served.dtype == np.float64
+            assert served.tobytes() == np.concatenate([single[i] for i in picks]).tobytes()
+            assert session.predict_operators_batch(batch) == [operators[i] for i in picks]
+            served_plans += 2 * size
+        assert session.requests_served == served_plans  # each plan counted once
+
+
+def _served_bits(session, plans):
+    """Every serving path's output bytes: batches of one, one
+    plan-by-plan batch (values and operators) and one fused batch."""
+    small = plans[: InferenceSession.MAX_PLAN_BY_PLAN]
+    return (
+        [session.predict_batch([plan]).tobytes() for plan in plans],
+        session.predict_batch(small).tobytes(),
+        session.predict_operators_batch(small),
+        session.predict_batch(plans).tobytes(),
+    )
+
+
+class TestParametersChangedInPlace:
+    """Serving reads every layer's weights when it runs: a warm session
+    (memoized one-plan plans, cached features) serves parameters changed
+    in place exactly as a fresh session does."""
+
+    def test_warm_session_serves_new_parameters(self, corpus):
+        plans = [s.plan for s in corpus[:24]]
+        config = QPPNetConfig(hidden_layers=2, neurons=16, data_size=4, epochs=2, batch_size=16)
+        featurizer = Featurizer().fit([s.plan for s in corpus])
+        model = QPPNet(featurizer, config)
+        keys, size = sorted(model.state_dict()), model.num_parameters()
+        session = InferenceSession(model)
+        served = _served_bits(session, plans)  # warms the memo and caches
+
+        other = QPPNet(featurizer, QPPNetConfig(hidden_layers=2, neurons=16, data_size=4, seed=1))
+        model.load_state_dict(other.state_dict())
+        loaded = _served_bits(session, plans)
+        assert loaded == _served_bits(InferenceSession(model), plans)
+        assert loaded[0] != served[0]
+
+        Trainer(model, config).fit(corpus)  # binds a FlatParameterSpace
+        trained = _served_bits(session, plans)
+        assert trained == _served_bits(InferenceSession(model), plans)
+        assert trained[0] != loaded[0]
+
+        assert sorted(model.state_dict()) == keys
+        assert model.num_parameters() == size
 
 
 def retained_growth(session, warm_up, churn):

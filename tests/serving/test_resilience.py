@@ -312,6 +312,23 @@ class TestNonFiniteEveryEntryPoint:
         values = session.predict_operators_batch(clean)
         assert all(np.isfinite(v).all() for v in values)
 
+    def test_plan_by_plan_batch_names_exactly_the_poisoned_plans(self, corpus, plans):
+        """A batch small enough to run plan by plan names the same plans,
+        batch-relative, from both entry points, and counts none served."""
+        uses_sort = [LogicalType.SORT in plan_graph(p).types for p in plans]
+        sort, clean = plans[uses_sort.index(True)], plans[uses_sort.index(False)]
+        batch = [clean, sort, clean, sort]
+        assert len(batch) <= InferenceSession.MAX_PLAN_BY_PLAN
+        session = InferenceSession(self.poisoned(corpus, {LogicalType.SORT}))
+        for entry in (session.predict_batch, session.predict_operators_batch):
+            with pytest.raises(NonFinitePrediction) as exc_info:
+                entry(batch)
+            assert exc_info.value.indices == [1, 3]
+            assert exc_info.value.signatures == [sort.structure_signature()] * 2
+        assert session.requests_served == 0
+        assert np.isfinite(session.predict_batch([clean, clean])).all()
+        assert session.requests_served == 2
+
 
 # ----------------------------------------------------------------------
 # Tentpole: deadlines

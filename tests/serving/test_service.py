@@ -11,7 +11,6 @@ import pytest
 from repro.core import QPPNet, QPPNetConfig
 from repro.featurize import Featurizer
 from repro.serving import (
-    AdmissionRejected,
     InferenceSession,
     ModelRegistry,
     Prediction,
@@ -370,35 +369,6 @@ class TestBackpressureAndAdmission:
         assert service.stats().rejected == 5
         service.stop(drain=False)
 
-    def test_admission_hook_rejects_typed(self, model, plans):
-        big = max(plans, key=lambda p: p.node_count())
-        threshold = big.node_count()
-
-        def shed_heavy(plan, name, depth):
-            return plan.node_count() < threshold
-
-        with PredictionService(model, admission_hook=shed_heavy) as service:
-            with pytest.raises(AdmissionRejected):
-                service.submit(big)
-            small = min(plans, key=lambda p: p.node_count())
-            assert service.submit(small).result(timeout=30) > 0.0
-        assert service.stats().rejected == 1
-
-    def test_admission_hook_may_inspect_the_service(self, model, plans):
-        """The hook runs outside the service lock, so a natural
-        load-shedding predicate like `stats()`-based depth checks must
-        not deadlock."""
-
-        def hook(plan, name, depth):
-            return service.stats().queue_depth < 2
-
-        service = PredictionService(model, admission_hook=hook)  # not started
-        service.submit(plans[0])
-        service.submit(plans[1])
-        with pytest.raises(AdmissionRejected):
-            service.submit(plans[2])
-        service.stop(drain=False)
-
     def test_execution_errors_forwarded_verbatim(self, model, plans):
         """A KeyError raised inside the forward pass is an application
         error and must reach the handle as-is — not disguised as the
@@ -485,13 +455,13 @@ class TestLifecycle:
 
     def test_submit_after_stop_rejected(self, model, plans):
         """A stopped service reports itself as stopped — even when the
-        submit would also fail routing or the admission hook, so clients
-        never mistake a dead service for transient load-shedding."""
-        service = PredictionService(model, admission_hook=lambda p, n, d: False)
+        submit would also fail routing, so clients never mistake a dead
+        service for a transient failure."""
+        service = PredictionService(model)
         service.start()
         service.stop()
         with pytest.raises(ServiceStoppedError):
-            service.submit(plans[0])  # not AdmissionRejected
+            service.submit(plans[0])
         with pytest.raises(ServiceStoppedError):
             service.submit(plans[0], model="nope")  # not UnknownModelError
         with pytest.raises(ServiceStoppedError):
