@@ -42,16 +42,12 @@ forward here.  The CI job pins the env var to the issue's aspirational
 1.5 in a non-blocking lane, so the trajectory is archived without
 gating merges on hardware we don't control.
 
-A fifth measurement prices the resilience layer: the same
-burst is served by a *disarmed* service (validation, admission control,
-poison isolation and breaker all off — the PR-6 happy path) and by a
-fully armed one (submit-site plan validation, per-request deadlines,
-breaker accounting, fallback chain configured).  The armed service must
-sustain >= ``1 - BENCH_RESILIENCE_MAX_OVERHEAD`` (default 0.1, so
->= 0.9x) of the disarmed throughput — the guards are bookkeeping on the
-submit path and must never show up at batch scale.
+Every service section runs the service as every caller does, with its
+guards armed: submit-site plan validation, breaker accounting and poison
+isolation always run, so their happy-path price sits inside each
+section's gate rather than in a section of its own.
 
-A sixth measurement prices the live-lifecycle machinery:
+A fifth measurement prices the live-lifecycle machinery:
 the same burst is served by a plain service and by one with the full
 observe→detect loop armed — every request's outcome journaled via
 ``Prediction.observe`` and a background ``LifecycleManager`` polling the
@@ -60,13 +56,13 @@ measurement is pure bookkeeping, never a retrain).  The armed service
 must sustain >= ``1 - BENCH_LIFECYCLE_MAX_OVERHEAD`` of the plain
 throughput.
 
-A seventh measurement (the "ingestion" section) tracks the
+A sixth measurement (the "ingestion" section) tracks the
 real-engine EXPLAIN front-end: plans/s through dialect parsing
 (validation included) and through the full parse -> featurize path,
 replayed over the golden fixture corpus, gated loosely by
 ``BENCH_INGEST_MIN_PLANS_PER_S``.
 
-An eighth measurement (the "durability" section) prices the
+A seventh measurement (the "durability" section) prices the
 crash-safe outcome journal: the observed burst drains through an
 in-memory ``OutcomeLog`` and through one wired to an on-disk
 ``OutcomeJournal`` (batched fsync gated by
@@ -91,12 +87,7 @@ from conftest import update_bench_json
 from repro.core import QPPNet, QPPNetConfig
 from repro.evaluation import precision_agreement_gap
 from repro.featurize import Featurizer
-from repro.serving import (
-    InferenceSession,
-    PredictionService,
-    ResiliencePolicy,
-    default_fallback_chain,
-)
+from repro.serving import InferenceSession, PredictionService
 from repro.workload import Workbench
 
 N_PLANS = 512
@@ -113,9 +104,6 @@ REQUIRED_F32_SPEEDUP = float(os.environ.get("BENCH_F32_MIN_SPEEDUP", "1.3"))
 FEATURIZATION_MAX_E2E_RATIO = float(
     os.environ.get("BENCH_FEATURIZATION_MAX_E2E_RATIO", "3.5")
 )
-RESILIENCE_MAX_OVERHEAD = float(
-    os.environ.get("BENCH_RESILIENCE_MAX_OVERHEAD", "0.25")
-)
 #: This box measures ~0.24 overhead (the dominant cost is the serial
 #: per-request ``observe`` call — a signature digest plus a locked deque
 #: append — against a ~20ms burst); local default leaves jitter slack,
@@ -124,18 +112,6 @@ LIFECYCLE_MAX_OVERHEAD = float(
     os.environ.get("BENCH_LIFECYCLE_MAX_OVERHEAD", "0.35")
 )
 F32_REL_TOL = 1e-4
-
-#: The two PR-6 "service" sections benchmark the *coalescing machinery*
-#: against hand-batching, so they run with every resilience guard off —
-#: keeping their numbers comparable with the pre-resilience baseline.
-#: The guards' happy-path price is measured separately (and gated) by
-#: the "resilience" section below.
-COALESCING_ONLY = dict(
-    validate_plans=False,
-    poison_isolation=False,
-    breaker_threshold=0,
-    admission_control=False,
-)
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +286,6 @@ def test_service_concurrent_arrivals(workload):
         max_batch_size=N_PLANS,
         max_wait_ms=5.0,
         max_queue_depth=2 * N_PLANS,
-        resilience=ResiliencePolicy(**COALESCING_ONLY),
     ) as service:
 
         def submit_shard(shard):
@@ -369,92 +344,6 @@ def test_service_concurrent_arrivals(workload):
     assert stats.p99_latency_ms <= 2.0 + 10.0 * (whole_batch_s * 1e3)
 
 
-def test_resilience_overhead(workload):
-    """Happy-path price of the armed resilience layer (ISSUE 7).
-
-    Both services drain the identical 512-plan burst through
-    ``submit_many``; the armed one additionally validates every plan at
-    the submit site, stamps per-request deadlines, checks and feeds the
-    circuit breaker, and carries a configured fallback chain it never
-    uses.  In-run comparison (same process, same warmed model), so the
-    gate measures the guards and nothing else.
-
-    The dominant armed cost is submit-site validation (~5.5us/plan,
-    serial with the burst) against a fused batch that executes in tens
-    of microseconds per plan, so the ratio this box achieves sits around
-    0.8-1.1 across runs (a ~25ms measurement is at the mercy of worker
-    wakeup jitter); the local default gate (0.25 overhead) is set from
-    the worst of that spread.  The CI perf job pins
-    ``BENCH_RESILIENCE_MAX_OVERHEAD=0.1`` — the issue's aspirational
-    bound — in its non-blocking lane, same arrangement as the
-    featurization gate.
-    """
-    model, plans = workload
-    session = InferenceSession(model)
-    reference = session.predict_batch(plans)  # warm the fused path
-
-    disarmed = ResiliencePolicy(**COALESCING_ONLY)
-    armed = ResiliencePolicy(fallback=default_fallback_chain())
-
-    def run_service(policy, deadline_ms):
-        with PredictionService(
-            session,
-            max_batch_size=N_PLANS,
-            max_wait_ms=5.0,
-            max_queue_depth=2 * N_PLANS,
-            resilience=policy,
-        ) as service:
-
-            def run_once():
-                handles = service.submit_many(plans, deadline_ms=deadline_ms)
-                return [h.result(timeout=60) for h in handles]
-
-            run_once()  # warm the service path
-            elapsed = _best_of(run_once, repeats=5)
-            values = run_once()
-            stats = service.stats()
-        return elapsed, values, stats
-
-    disarmed_s, _, _ = run_service(disarmed, deadline_ms=None)
-    armed_s, armed_values, armed_stats = run_service(armed, deadline_ms=60_000.0)
-
-    agreement = float(np.max(np.abs(np.asarray(armed_values) - reference)))
-    ratio = disarmed_s / armed_s  # armed throughput / disarmed throughput
-    required = 1.0 - RESILIENCE_MAX_OVERHEAD
-
-    out_path = _update_bench(
-        "resilience",
-        {
-            "n_plans": N_PLANS,
-            "disarmed_s": round(disarmed_s, 4),
-            "armed_s": round(armed_s, 4),
-            "disarmed_plans_per_s": round(N_PLANS / disarmed_s, 1),
-            "armed_plans_per_s": round(N_PLANS / armed_s, 1),
-            "throughput_ratio": round(ratio, 3),
-            "required_ratio": required,
-            "fallback_completed": armed_stats.fallback_completed,
-            "deadline_expired": armed_stats.deadline_expired,
-            "max_abs_diff": agreement,
-        },
-    )
-
-    print(
-        f"\n[resilience overhead] {N_PLANS} plans, armed vs disarmed service\n"
-        f"  disarmed          : {disarmed_s:.3f}s  ({N_PLANS / disarmed_s:8.0f} plans/s)\n"
-        f"  armed             : {armed_s:.3f}s  ({N_PLANS / armed_s:8.0f} plans/s)\n"
-        f"  ratio             : {ratio:.2f}x  (required >= {required:.2f}x)\n"
-        f"  max |diff|        : {agreement:.2e}  (required <= 1e-9)\n"
-        f"  -> {out_path}"
-    )
-
-    assert agreement <= 1e-9
-    # Nothing degraded on the happy path: every request served primary.
-    assert armed_stats.fallback_completed == 0
-    assert armed_stats.deadline_expired == 0
-    assert armed_stats.failed == 0
-    assert ratio >= required
-
-
 def test_lifecycle_overhead(workload, tmp_path):
     """No-drift price of the armed lifecycle loop (ISSUE 8).
 
@@ -479,7 +368,6 @@ def test_lifecycle_overhead(workload, tmp_path):
             max_batch_size=N_PLANS,
             max_wait_ms=5.0,
             max_queue_depth=2 * N_PLANS,
-            resilience=ResiliencePolicy(**COALESCING_ONLY),
         ) as service:
             manager = manager_factory(service) if manager_factory else None
 
@@ -626,7 +514,6 @@ def test_float32_service_throughput(workload_f32):
         max_batch_size=N_PLANS,
         max_wait_ms=5.0,
         max_queue_depth=2 * N_PLANS,
-        resilience=ResiliencePolicy(**COALESCING_ONLY),
     ) as service:
 
         def submit_shard(shard):
@@ -800,7 +687,6 @@ def test_journal_overhead(workload, tmp_path):
             max_batch_size=N_PLANS,
             max_wait_ms=5.0,
             max_queue_depth=2 * N_PLANS,
-            resilience=ResiliencePolicy(**COALESCING_ONLY),
             outcomes=outcomes,
         ) as service:
 

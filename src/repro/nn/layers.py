@@ -215,6 +215,11 @@ class Activation(Module):
         raise NotImplementedError
 
 
+#: Ready 0-d zeros per float dtype: ``np.maximum`` converts a Python
+#: ``0.0`` on every call, but not a zero that already has ``x``'s dtype.
+_ZEROS = {np.dtype(t): np.zeros((), t) for t in (np.float32, np.float64)}
+
+
 class ReLU(Activation):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
@@ -225,7 +230,7 @@ class ReLU(Activation):
     def forward_inplace(self, x: np.ndarray) -> np.ndarray:
         # Equal to ``x * (x > 0)`` for every finite or NaN input; one
         # pass and no mask allocation.
-        return np.maximum(x, 0.0, out=x)
+        return np.maximum(x, _ZEROS.get(x.dtype, 0.0), out=x)
 
     def forward_train(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mask = x > 0

@@ -58,7 +58,12 @@ directories), one long-lived warmed session per model.
 
 Failure-mode contract
 ---------------------
-Every operational failure is a typed :class:`ServiceError` subclass;
+There is one contract, and every guard in it always runs: plan
+validation, deadline admission, poison isolation and a per-model
+circuit breaker.  The only choice, ``ResiliencePolicy(fallback=...)``,
+is what a request whose model is down receives: a typed error (the
+default) or a degraded value from the fallback ladder.  Every
+operational failure is a typed :class:`ServiceError` subclass;
 ``except ServiceError`` catches them all, and the concrete type says
 which guard fired.  The full contract — every error, when it fires, and
 what state it leaves behind:
@@ -77,10 +82,10 @@ the whole burst is rejected all-or-nothing):
 * :class:`DeadlineExceededError` (``shed_at="admission"``) — the
   service's own queue-wait prediction (drain-rate EWMA x queue depth +
   what remains of a configured window) already exceeds the request's
-  ``deadline_ms``.
-* :class:`CircuitOpenError` — the routed model's breaker is open and no
-  fallback chain is configured (with a chain, the request is admitted
-  and served degraded).
+  ``deadline_ms``.  Requests submitted without a deadline have none.
+* :class:`CircuitOpenError` — the routed model's breaker is open under
+  the default ``fallback=False`` (with ``fallback=True`` the request is
+  admitted and served degraded).
 * :class:`ServiceStoppedError` — the service is stopped.
 
 **Failed at execution** (delivered through the :class:`Prediction`
@@ -104,22 +109,27 @@ handle; all other requests of the coalesced batch are unaffected):
   fault (fail once, succeed on retry) recovers with zero failures and
   values bit-identical to the fault-free run.
 * :class:`CircuitOpenError` — the breaker opened while the request was
-  queued (fast-failed without touching the model; only without a
-  fallback chain).
+  queued (fast-failed without touching the model; only under
+  ``fallback=False``).
 
 **Degraded operation** (requests *complete*, flagged in ``stats()``):
 
-* A model whose primary fused path fails terminally — or whose breaker
-  is open — is served through the configured
-  :class:`~repro.serving.resilience.FallbackChain`
-  (:func:`~repro.serving.resilience.default_fallback_chain`: taped
-  per-plan reference, then the :mod:`repro.optimizer.cost` heuristic);
-  ``fallback_completed`` counts these.
+* Under ``ResiliencePolicy(fallback=True)``, a model whose primary
+  fused path fails terminally — or whose breaker is open — is served
+  through the one fixed ladder,
+  :func:`~repro.serving.resilience.fallback_latencies`: the taped
+  per-plan ``QPPNet.predict`` reference, then, for a group that rung
+  fails, the :mod:`repro.optimizer.cost` heuristic
+  (:func:`heuristic_latency_ms`), which answers for every valid plan.
+  ``fallback_completed`` counts both rungs; fallback outcomes never
+  feed the breaker.
 * The per-model :class:`~repro.serving.resilience.CircuitBreaker`
-  opens after ``breaker_threshold`` consecutive whole-batch failures,
-  fast-rejects (or falls back) while open, admits half-open probes
-  after ``breaker_reset_ms``, and closes on the first probe success;
-  ``breaker_states`` in ``stats()`` exposes each model's state.
+  opens after :data:`~repro.serving.resilience.BREAKER_THRESHOLD` (5)
+  consecutive whole-batch failures, fast-rejects (or falls back) while
+  open, admits half-open probes after
+  :data:`~repro.serving.resilience.BREAKER_RESET_MS` (1000 ms), and
+  closes on the first probe success; ``breaker_states`` in ``stats()``
+  exposes each model's state.
 
 State guarantees: a submit-site rejection leaves nothing queued and no
 counters but ``rejected`` (and the specific shed counter) touched; an
@@ -256,7 +266,6 @@ from .resilience import (
     CircuitBreaker,
     CircuitOpenError,
     DeadlineExceededError,
-    FallbackChain,
     InvalidLifecycleTransition,
     InvalidPlanError,
     JournalError,
@@ -269,7 +278,6 @@ from .resilience import (
     RecoveryError,
     ResiliencePolicy,
     ServiceError,
-    default_fallback_chain,
     heuristic_latency_ms,
 )
 from .service import (
@@ -315,8 +323,6 @@ __all__ = [
     "NonFinitePrediction",
     "ResiliencePolicy",
     "CircuitBreaker",
-    "FallbackChain",
-    "default_fallback_chain",
     "heuristic_latency_ms",
     "InferenceSession",
     "SessionStats",

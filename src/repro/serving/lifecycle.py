@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 import threading
 import time
 from collections import OrderedDict, deque
@@ -641,9 +642,10 @@ class LifecycleManager:
     def retrain(self) -> TrainingHistory:
         """Fine-tune a candidate on the observed stream; durable.
 
-        Legal from ``live`` (starts a cycle) and from ``retraining``
-        (resumes a crashed one).  On success the warmed candidate is
-        held for :meth:`deploy_shadow`.
+        Legal from ``live`` (starts a cycle, in an emptied checkpoint
+        directory) and from ``retraining`` (resumes a crashed one from
+        its checkpoints).  On success the warmed candidate is held for
+        :meth:`deploy_shadow`.
         """
         cfg = self.config
         with self._lock:
@@ -654,6 +656,12 @@ class LifecycleManager:
                         f"only {len(samples)} analyzed outcomes journaled; "
                         f"retrain needs >= {cfg.min_retrain_outcomes}"
                     )
+                # Whatever the new cycle's directory already holds is an
+                # earlier cycle's work whose closing manifest never
+                # landed.  Empty it before the ``retraining`` manifest
+                # names the cycle, so no crash can resume those files.
+                if self._cycle_dir().exists():
+                    shutil.rmtree(self._cycle_dir())
                 self._transition(
                     LifecycleState.RETRAINING, f"{len(samples)} observed samples"
                 )

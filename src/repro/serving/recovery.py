@@ -174,7 +174,6 @@ class ServiceRecovery:
         segment_max_bytes: int = 1 << 20,
         fsync_every: int = 64,
         fsync_fn=None,
-        service_kwargs: Optional[dict] = None,
         **lifecycle_kwargs,
     ) -> RecoveredStack:
         """First boot: persist the model, arm the journal, publish the
@@ -199,7 +198,6 @@ class ServiceRecovery:
             {model_name: bundle},
             lifecycle_kwargs,
             outcome_log_size=outcome_log_size,
-            service_kwargs=service_kwargs,
             segment_max_bytes=segment_max_bytes,
             fsync_every=fsync_every,
             fsync_fn=fsync_fn,
@@ -218,7 +216,6 @@ class ServiceRecovery:
         segment_max_bytes: int = 1 << 20,
         fsync_every: int = 64,
         fsync_fn=None,
-        service_kwargs: Optional[dict] = None,
         **lifecycle_overrides,
     ) -> RecoveredStack:
         """Rebuild the stack from a state directory after a crash.
@@ -293,7 +290,6 @@ class ServiceRecovery:
             dict(manifest["models"]),
             {**manifest.get("lifecycle", {}), **lifecycle_overrides},
             outcome_log_size=outcome_log_size,
-            service_kwargs=service_kwargs,
             segment_max_bytes=segment_max_bytes,
             fsync_every=fsync_every,
             fsync_fn=fsync_fn,
@@ -337,7 +333,6 @@ def _open_stack(
     lifecycle_fields: dict,
     *,
     outcome_log_size: int,
-    service_kwargs: Optional[dict],
     **journal_kwargs,
 ) -> tuple[RecoveredStack, ReplayResult]:
     """Journal -> outcome log -> service -> config -> manager over one
@@ -347,12 +342,7 @@ def _open_stack(
     replay = journal.recover()
     log = OutcomeLog(outcome_log_size, journal=journal)
     log.restore(replay.records)
-    service = PredictionService(
-        registry,
-        default_model=model_name,
-        outcomes=log,
-        **(service_kwargs or {}),
-    )
+    service = PredictionService(registry, default_model=model_name, outcomes=log)
     config = LifecycleConfig(
         checkpoint_dir=state_dir / CHECKPOINTS_DIRNAME, **lifecycle_fields
     )

@@ -1,8 +1,8 @@
 """Fault-tolerance primitives for the serving stack.
 
 This module holds the pieces :class:`~repro.serving.service.PredictionService`
-composes into its failure-mode contract (see the package docstring of
-:mod:`repro.serving` for the full contract):
+composes into its one failure-mode contract (see the package docstring
+of :mod:`repro.serving` for the full contract):
 
 * the **typed errors** a degraded service surfaces —
   :class:`InvalidPlanError`, :class:`DeadlineExceededError`,
@@ -12,26 +12,26 @@ composes into its failure-mode contract (see the package docstring of
   concrete type says exactly which guard fired;
 * :class:`CircuitBreaker` — the classic closed / open / half-open state
   machine over *consecutive whole-batch failures* of one model, so a
-  wedged model fails fast (or routes to a fallback) instead of burning a
-  bisection probe on every coalesced batch;
-* :class:`FallbackChain` — graceful degradation: an ordered list of
-  increasingly crude predictors tried when the primary fused path is
-  broken or the breaker is open.  :func:`default_fallback_chain` is the
-  documented ladder *fused -> taped per-plan reference -> cost
-  heuristic*: the taped tier re-runs each plan through
-  :meth:`QPPNet.predict` (the <= 1e-9 taped reference path, sidestepping
-  any defect in the fused level-plan executor), and the last-resort
-  tier maps the optimizer's own cumulative cost estimate (``Total
-  Cost``, computed by :mod:`repro.optimizer.cost`) to milliseconds — no
-  neural network at all, but never an unserved request;
-* :class:`ResiliencePolicy` — the service-level knobs bundling all of
-  the above (plan validation, poison isolation, breaker thresholds,
-  deadline admission) into one value with safe defaults.
+  wedged model fails fast (or falls back) instead of burning a
+  bisection probe on every coalesced batch.  The service gives every
+  model one, at :data:`BREAKER_THRESHOLD` and :data:`BREAKER_RESET_MS`;
+* :func:`fallback_latencies` — the one degradation ladder, tried when
+  the primary fused path is broken or the breaker is open: the taped
+  per-plan :meth:`QPPNet.predict` reference (the <= 1e-9 reference
+  path, sidestepping any defect in the fused level-plan executor), then
+  :func:`heuristic_latency_ms`, which maps the optimizer's own
+  cumulative cost estimate (``Total Cost``, computed by
+  :mod:`repro.optimizer.cost`) to milliseconds — no neural network at
+  all, but never an unserved request;
+* :class:`ResiliencePolicy` — the one choice a caller makes: whether a
+  request whose model is down gets a typed error (the default) or a
+  degraded value from the ladder.  Validation, poison isolation,
+  breaking and deadline admission are not optional.
 
-Everything here is deliberately session-agnostic: the breaker and chain
-never import :mod:`repro.serving.session` or ``service``, so the session
-can raise :class:`NonFinitePrediction` and the service can compose the
-rest without an import cycle.
+Everything here is deliberately session-agnostic: the breaker and the
+ladder never import :mod:`repro.serving.session` or ``service``, so the
+session can raise :class:`NonFinitePrediction` and the service can
+compose the rest without an import cycle.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class DeadlineExceededError(ServiceError, TimeoutError):
 class CircuitOpenError(ServiceError):
     """The routed model's circuit breaker is open (fast typed rejection).
 
-    Only raised when no fallback chain is configured — with a chain, an
-    open breaker routes to the fallback instead of rejecting.
+    Only raised under the default ``ResiliencePolicy(fallback=False)`` —
+    with ``fallback=True``, an open breaker routes to the fallback
+    ladder instead of rejecting.
     """
 
     def __init__(self, model: str, retry_after_ms: float) -> None:
@@ -250,7 +251,7 @@ class CircuitBreaker:
       resets it.  Reaching ``threshold`` opens the breaker.
     * **open** — the primary path is not attempted at all; requests fail
       fast with :class:`CircuitOpenError` or route to the fallback
-      chain.  After ``reset_ms`` the next execution attempt is allowed
+      ladder.  After ``reset_ms`` the next execution attempt is allowed
       through as a probe (half-open).
     * **half-open** — probes flow to the primary; the first success
       closes the breaker, any failure re-opens it (and restarts the
@@ -335,28 +336,26 @@ class CircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Fallback chain: fused -> taped reference -> cost heuristic
+# Fallback ladder: taped reference, then cost heuristic
 # ----------------------------------------------------------------------
-#: Default cost-unit -> milliseconds scale for the heuristic tier.  The
+#: Cost-unit -> milliseconds scale for the heuristic rung.  The
 #: optimizer's cost model (:mod:`repro.optimizer.cost`) normalizes one
 #: sequential page read to 1.0 cost unit; ~10us per sequential 8KB page
 #: is an SSD-era order of magnitude.  This is an *uncalibrated* degraded
 #: -mode estimate — accurate to within "which of these queries is the
 #: expensive one", which is all an admission controller needs when every
-#: learned tier is down.
-DEFAULT_MS_PER_COST_UNIT = 0.01
+#: learned path is down.
+MS_PER_COST_UNIT = 0.01
 
 
-def heuristic_latency_ms(
-    plan: PlanNode, ms_per_cost_unit: float = DEFAULT_MS_PER_COST_UNIT
-) -> float:
+def heuristic_latency_ms(plan: PlanNode) -> float:
     """Model-free latency estimate from the optimizer's own cost units.
 
     The root's ``Total Cost`` property is the cumulative abstract cost
     :mod:`repro.optimizer.cost` assigned to the whole plan; scaling it by
-    ``ms_per_cost_unit`` yields the crudest serviceable latency estimate
-    — the last rung of :func:`default_fallback_chain`.  Plans missing
-    the property (or carrying a non-finite value) fall back to a
+    :data:`MS_PER_COST_UNIT` yields the crudest serviceable latency
+    estimate — the last rung of :func:`fallback_latencies`.  Plans
+    missing the property (or carrying a non-finite value) fall back to a
     per-node floor so the estimate is always finite and positive.
     """
     cost = plan.props.get("Total Cost")
@@ -367,148 +366,56 @@ def heuristic_latency_ms(
     if not math.isfinite(cost) or cost < 0.0:
         # Degenerate plan: one floor-latency per operator keeps the
         # estimate finite and monotone in plan size.
-        cost = float(sum(1 for _ in plan.preorder())) / max(
-            ms_per_cost_unit, 1e-12
-        ) * MIN_PREDICTION_MS
-    return max(MIN_PREDICTION_MS, cost * ms_per_cost_unit)
+        n_nodes = float(sum(1 for _ in plan.preorder()))
+        cost = n_nodes / MS_PER_COST_UNIT * MIN_PREDICTION_MS
+    return max(MIN_PREDICTION_MS, cost * MS_PER_COST_UNIT)
 
 
-#: One fallback tier: ``(session, plans) -> latencies``.  ``session`` is
-#: whatever the registry holds for the routed model (possibly duck-typed;
-#: tiers must tolerate missing attributes by raising — the chain moves on).
-FallbackTier = Callable[[object, Sequence[PlanNode]], Sequence[float]]
+def fallback_latencies(session: object, plans: Sequence[PlanNode]) -> list[float]:
+    """The fixed degradation ladder behind ``ResiliencePolicy(fallback=True)``.
 
-
-def taped_reference_tier(session: object, plans: Sequence[PlanNode]) -> list[float]:
-    """Tier 2: per-plan taped reference through ``QPPNet.predict``.
-
-    Sidesteps the session entirely (its pools, caches and fused level
-    plans — any of which the primary failure may implicate) and runs each
-    plan through the model's taped schedule, which shares no code with
-    :class:`~repro.core.levels.LevelPlan`.  Slow but independent.
+    The fused session path is the primary the service already tried.
+    The first rung re-runs each plan through ``session.model.predict``,
+    the taped per-plan reference: it shares no code with the session's
+    pools, caches or :class:`~repro.core.levels.LevelPlan`, any of which
+    the primary failure may implicate.  If that rung fails for the group
+    — it raises, or any value is NaN/Inf — every plan gets
+    :func:`heuristic_latency_ms` instead, which answers for any plan
+    that passed validation.
     """
-    model = getattr(session, "model", None)
-    if model is None or not hasattr(model, "predict"):
-        raise TypeError("session exposes no .model with a predict() method")
-    return [float(model.predict(plan)) for plan in plans]
-
-
-def heuristic_cost_tier(session: object, plans: Sequence[PlanNode]) -> list[float]:
-    """Tier 3: the model-free :func:`heuristic_latency_ms` estimate."""
+    try:
+        values = [float(session.model.predict(plan)) for plan in plans]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except Exception:  # noqa: BLE001 — any taped failure degrades a rung
+        pass
     return [heuristic_latency_ms(plan) for plan in plans]
-
-
-class FallbackChain:
-    """Ordered degradation ladder tried when the primary path is down.
-
-    Each tier is a :data:`FallbackTier` callable; :meth:`predict` runs
-    them in order and returns the first tier that yields a finite,
-    correctly-sized result (a tier producing NaN/Inf or the wrong count
-    is treated exactly like a tier that raised).  If every tier fails,
-    the *last* tier's error propagates (earlier errors chain as causes).
-    """
-
-    def __init__(self, tiers: Sequence[tuple[str, FallbackTier]]) -> None:
-        if not tiers:
-            raise ValueError("FallbackChain needs at least one tier")
-        self.tiers = list(tiers)
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.tiers]
-
-    def predict(
-        self, session: object, plans: Sequence[PlanNode]
-    ) -> tuple[list[float], str]:
-        """Run ``plans`` through the first healthy tier.
-
-        Returns ``(latencies, tier_name)``; raises the final tier's
-        failure when the whole ladder is exhausted.
-        """
-        error: Optional[BaseException] = None
-        for name, tier in self.tiers:
-            try:
-                values = [float(v) for v in tier(session, plans)]
-                if len(values) != len(plans):
-                    raise ServiceError(
-                        f"fallback tier {name!r} returned {len(values)} "
-                        f"predictions for {len(plans)} plans"
-                    )
-                if not all(math.isfinite(v) for v in values):
-                    raise NonFinitePrediction(
-                        f"fallback tier {name!r}",
-                        [p.structure_signature() for p in plans],
-                    )
-                return values, name
-            except BaseException as tier_error:  # noqa: BLE001 — chained below
-                if error is not None:
-                    tier_error.__cause__ = error
-                error = tier_error
-        assert error is not None
-        raise error
-
-
-def default_fallback_chain() -> FallbackChain:
-    """The documented ladder: taped per-plan reference, then cost heuristic.
-
-    (The fused session path is the chain's implicit tier 1 — it is the
-    primary the service already attempted before consulting the chain.)
-    """
-    return FallbackChain(
-        [("taped", taped_reference_tier), ("heuristic", heuristic_cost_tier)]
-    )
 
 
 # ----------------------------------------------------------------------
 # Policy
 # ----------------------------------------------------------------------
+#: Consecutive whole-batch failures that open a model's breaker.
+BREAKER_THRESHOLD = 5
+#: How long an open breaker waits before admitting a half-open probe.
+BREAKER_RESET_MS = 1000.0
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Service-level resilience knobs (``PredictionService(resilience=...)``).
+    """What a failing model's requests get (``PredictionService(resilience=...)``).
 
-    The default policy is safe-by-default: plans are validated at the
-    boundary, poisoned batches are bisected so healthy requests survive,
-    and a per-model breaker opens after 5 consecutive whole-batch
-    failures.  There is no fallback chain and no default deadline unless
-    configured — both change *what* a request receives, not just whether
-    it fails, so they are opt-in.
+    Plan validation, poison isolation, a per-model breaker
+    (:data:`BREAKER_THRESHOLD` failures, :data:`BREAKER_RESET_MS` reset)
+    and deadline admission always run.  The policy only decides what a
+    request receives when its model's primary path is down: a typed
+    error by default, or — with ``fallback=True`` — a degraded value
+    from :func:`fallback_latencies`.
     """
 
-    #: Run :func:`repro.plans.validate.validate_plan` on every submitted
-    #: plan; malformed plans raise :class:`InvalidPlanError` at the
-    #: submit site instead of failing inside the drain loop.
-    validate_plans: bool = True
-    #: Bisect failing coalesced batches so only offending requests fail
-    #: (``False`` restores fail-the-whole-batch semantics).
-    poison_isolation: bool = True
-    #: Consecutive whole-batch failures that open a model's breaker;
-    #: ``0`` disables circuit breaking entirely.
-    breaker_threshold: int = 5
-    #: How long an open breaker waits before admitting a half-open probe.
-    breaker_reset_ms: float = 1000.0
-    #: Degradation ladder consulted when the primary path fails
-    #: terminally or the breaker is open; ``None`` means typed rejection.
-    fallback: Optional[FallbackChain] = None
-    #: Deadline applied to requests that pass none (``None`` = no deadline).
-    default_deadline_ms: Optional[float] = None
-    #: Shed deadline-carrying requests at the submit site when the
-    #: predicted queue wait (EWMA of drain throughput) exceeds the
-    #: deadline.  Requires deadlines to do anything.
-    admission_control: bool = True
+    #: Serve groups whose primary path failed terminally, or whose
+    #: breaker is open, through :func:`fallback_latencies` instead of
+    #: failing them.
+    fallback: bool = False
     #: Monotonic clock shared by the breakers (injectable for tests).
     clock: Callable[[], float] = field(default=time.monotonic)
-
-    def __post_init__(self) -> None:
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0 (0 disables)")
-        if self.breaker_reset_ms < 0:
-            raise ValueError("breaker_reset_ms must be >= 0")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive when set")
-
-    def make_breaker(self) -> Optional[CircuitBreaker]:
-        """A fresh per-model breaker, or ``None`` when breaking is disabled."""
-        if self.breaker_threshold == 0:
-            return None
-        return CircuitBreaker(
-            self.breaker_threshold, self.breaker_reset_ms, clock=self.clock
-        )

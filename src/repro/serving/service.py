@@ -59,6 +59,8 @@ from repro.plans.validate import PlanValidationError, validate_plan
 
 from .registry import ModelRegistry
 from .resilience import (
+    BREAKER_RESET_MS,
+    BREAKER_THRESHOLD,
     CircuitBreaker,
     CircuitOpenError,
     DeadlineExceededError,
@@ -68,6 +70,7 @@ from .resilience import (
     PredictionSettledError,
     ResiliencePolicy,
     ServiceError,
+    fallback_latencies,
 )
 from .session import InferenceSession
 
@@ -268,14 +271,17 @@ class ServiceStats:
     #: Requests individually failed by poison isolation while the rest
     #: of their coalesced batch completed (also counted in ``failed``).
     poison_isolated: int = 0
-    #: Requests completed by a fallback-chain tier instead of the
-    #: primary fused path (also counted in ``completed``).
+    #: Requests completed by either rung of the fallback ladder (taped
+    #: reference or cost heuristic) instead of the primary fused path,
+    #: under ``ResiliencePolicy(fallback=True)`` (also counted in
+    #: ``completed``).
     fallback_completed: int = 0
-    #: Requests fast-rejected by an open circuit breaker with no
-    #: fallback configured (also counted in ``failed``).
+    #: Requests fast-rejected by an open circuit breaker, at the submit
+    #: site or at execution, under the default ``fallback=False`` (also
+    #: counted in ``rejected`` or ``failed``, respectively).
     breaker_rejected: int = 0
-    #: Per-model breaker states (``closed`` / ``open`` / ``half_open``);
-    #: empty when circuit breaking is disabled.
+    #: Per-model breaker states (``closed`` / ``open`` / ``half_open``)
+    #: for every model the service has routed a request to.
     breaker_states: dict = field(default_factory=dict)
     #: Total observed outcomes ever recorded (``record_outcome`` /
     #: ``Prediction.observe``); the journal itself keeps only the most
@@ -449,11 +455,12 @@ class PredictionService:
         Bounded-queue backpressure limit; beyond it ``submit`` raises
         :class:`QueueFullError`.
     resilience:
-        The :class:`~repro.serving.resilience.ResiliencePolicy` governing
-        plan validation, deadlines, poison isolation, circuit breaking
-        and fallback (see the package docstring's failure-mode
-        contract).  Defaults to ``ResiliencePolicy()`` — validation,
-        isolation and a 5-strike breaker on; deadlines and fallback off.
+        The :class:`~repro.serving.resilience.ResiliencePolicy`: whether
+        a request whose model is down fails typed (the default) or is
+        served by the fallback ladder, plus the breakers' clock.  Plan
+        validation, deadline admission, poison isolation and a
+        per-model circuit breaker always run (see the package
+        docstring's failure-mode contract).
     """
 
     def __init__(
@@ -647,9 +654,6 @@ class PredictionService:
         """
         if not plans:
             return []
-        policy = self.resilience
-        if deadline_ms is None:
-            deadline_ms = policy.default_deadline_ms
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if self._stopping or self._stopped:
@@ -663,33 +667,28 @@ class PredictionService:
             raise UnknownModelError("<default>", self.registry.names())
         if name not in self.registry:
             raise UnknownModelError(name, self.registry.names())
-        if policy.validate_plans:
-            # Boundary validation: a malformed plan is the submitter's
-            # bug and is rejected here, typed — never smuggled into a
-            # coalesced batch where its featurization error would read
-            # as a model failure (and, without isolation, fail innocent
-            # co-batched requests).
-            for plan in plans:
-                try:
-                    validate_plan(plan)
-                except PlanValidationError as error:
-                    with self._lock:
-                        self._rejected += len(plans)
-                    raise InvalidPlanError(str(error)) from error
-        breaker = self._breakers.get(name)
-        if (
-            breaker is not None
-            and policy.fallback is None
-            and not breaker.allow()
-        ):
-            # Open breaker, nothing to degrade to: fail fast at the
-            # submit site instead of queueing a request whose execution
-            # is already known to be rejected.  (With a fallback chain
-            # the request is admitted and served degraded.)
-            with self._lock:
-                self._rejected += len(plans)
-                self._breaker_rejected += len(plans)
-            raise CircuitOpenError(name, breaker.retry_after_ms())
+        # Boundary validation: a malformed plan is the submitter's bug
+        # and is rejected here, typed — never smuggled into a coalesced
+        # batch where its featurization error would read as a model
+        # failure.
+        for plan in plans:
+            try:
+                validate_plan(plan)
+            except PlanValidationError as error:
+                with self._lock:
+                    self._rejected += len(plans)
+                raise InvalidPlanError(str(error)) from error
+        if not self.resilience.fallback:
+            breaker = self._breaker_for(name)
+            if not breaker.allow():
+                # Open breaker, nothing to degrade to: fail fast at the
+                # submit site instead of queueing a request whose
+                # execution is already known to be rejected.  (With
+                # fallback the request is admitted and served degraded.)
+                with self._lock:
+                    self._rejected += len(plans)
+                    self._breaker_rejected += len(plans)
+                raise CircuitOpenError(name, breaker.retry_after_ms())
         with self._lock:
             if self._stopping or self._stopped:
                 raise ServiceStoppedError("service is stopped")
@@ -698,7 +697,7 @@ class PredictionService:
                 self._rejected += len(plans)
                 raise QueueFullError(depth)
             now = time.monotonic()
-            if deadline_ms is not None and policy.admission_control:
+            if deadline_ms is not None:
                 # Deadline-aware admission: we are a latency predictor,
                 # so we predict our own.  The EWMA of drain-loop time
                 # per request (measured around every executed batch)
@@ -925,11 +924,11 @@ class PredictionService:
         The resilience pipeline, per batch: expired-deadline requests are
         shed first (no forward pass); each model group then runs behind
         its circuit breaker, with poison isolation recovering healthy
-        requests from failing batches and the fallback chain (when
-        configured) serving groups whose primary path is down.  Stats are
-        committed *before* each request's event fires, so a caller who
-        awaits its handles and then reads :meth:`stats` always sees the
-        batch that produced its results.
+        requests from failing batches and, under ``fallback=True``, the
+        fallback ladder serving groups whose primary path is down.
+        Stats are committed *before* each request's event fires, so a
+        caller who awaits its handles and then reads :meth:`stats`
+        always sees the batch that produced its results.
         """
         with self._lock:
             self._batches += 1
@@ -980,19 +979,20 @@ class PredictionService:
             )
         return live
 
-    def _breaker_for(self, name: str) -> Optional[CircuitBreaker]:
-        """The model's breaker, lazily created (None when disabled)."""
+    def _breaker_for(self, name: str) -> CircuitBreaker:
+        """The model's breaker, created on first use."""
         breaker = self._breakers.get(name)
-        if breaker is None and self.resilience.breaker_threshold > 0:
+        if breaker is None:
             with self._lock:
                 breaker = self._breakers.get(name)
                 if breaker is None:
-                    breaker = self._breakers[name] = self.resilience.make_breaker()
+                    breaker = self._breakers[name] = CircuitBreaker(
+                        BREAKER_THRESHOLD, BREAKER_RESET_MS, clock=self.resilience.clock
+                    )
         return breaker
 
     def _execute_model_group(self, name: str, requests: list[Prediction]) -> None:
         """One routed model's share of a coalesced batch, end to end."""
-        policy = self.resilience
         try:
             # Resolved per batch, not per request: this is the hot-swap
             # point — a re-registered name takes effect on the next
@@ -1002,15 +1002,13 @@ class PredictionService:
             self._fail_requests(requests, UnknownModelError(name, self.registry.names()))
             return
         breaker = self._breaker_for(name)
-        if breaker is not None and not breaker.allow():
+        if not breaker.allow():
             # Open breaker: never touch the primary path.  Serve
-            # degraded if a chain is configured, else fast typed
-            # rejection.  Fallback outcomes do not feed the breaker —
-            # only primary attempts are evidence about the primary.
-            if policy.fallback is not None:
-                self._run_fallback(
-                    session, name, requests, CircuitOpenError(name, breaker.retry_after_ms())
-                )
+            # degraded under fallback, else fast typed rejection.
+            # Fallback outcomes do not feed the breaker — only primary
+            # attempts are evidence about the primary.
+            if self.resilience.fallback:
+                self._run_fallback(session, requests)
             else:
                 with self._lock:
                     self._breaker_rejected += len(requests)
@@ -1022,21 +1020,19 @@ class PredictionService:
         if batch_error is not None:
             # Terminal whole-batch failure (nothing completed): breaker
             # evidence, then degrade or forward the underlying error.
-            if breaker is not None:
-                breaker.record_failure()
-            if policy.fallback is not None:
-                self._run_fallback(session, name, requests, batch_error)
+            breaker.record_failure()
+            if self.resilience.fallback:
+                self._run_fallback(session, requests)
             else:
                 self._fail_requests(requests, batch_error)
             return
-        if breaker is not None:
-            if completed:
-                breaker.record_success()
-            elif poisoned:
-                # Nothing completed (a singleton group whose one request
-                # was poison): uniform with the multi-request case, a
-                # batch that completed zero requests is breaker evidence.
-                breaker.record_failure()
+        if completed:
+            breaker.record_success()
+        elif poisoned:
+            # Nothing completed (a singleton group whose one request was
+            # poison): uniform with the multi-request case, a batch that
+            # completed zero requests is breaker evidence.
+            breaker.record_failure()
         if poisoned:
             with self._lock:
                 self._poison_isolated += len(poisoned)
@@ -1058,10 +1054,7 @@ class PredictionService:
         (nothing completed — the breaker's definition of a batch
         failure).
         """
-        try:
-            completed, poisoned, fragmented = self._isolate(session, name, requests)
-        except BaseException as error:  # noqa: BLE001 — forwarded to callers
-            return [], [], error
+        completed, poisoned, fragmented = self._isolate(session, name, requests)
         if not completed and poisoned:
             # Every single request failed: indistinguishable from a dead
             # model, so surface it as a whole-batch failure (first
@@ -1146,10 +1139,8 @@ class PredictionService:
             completed, more, fragmented = self._isolate(session, name, healthy)
             return completed, poisoned + more, fragmented
         except BaseException as error:  # noqa: BLE001 — isolated below
-            if not self.resilience.poison_isolation or len(requests) == 1:
-                if len(requests) == 1:
-                    return [], [(requests[0], error)], False
-                raise
+            if len(requests) == 1:
+                return [], [(requests[0], error)], False
             mid = len(requests) // 2
             left_done, left_bad, _ = self._isolate(session, name, requests[:mid])
             right_done, right_bad, _ = self._isolate(session, name, requests[mid:])
@@ -1183,26 +1174,9 @@ class PredictionService:
             )
         return values
 
-    def _run_fallback(
-        self,
-        session,
-        name: str,
-        requests: list[Prediction],
-        primary_error: BaseException,
-    ) -> None:
-        """Serve a group through the fallback chain (degraded completion).
-
-        If the whole chain is exhausted, requests fail with the chain's
-        final error, chained onto the primary failure.
-        """
-        try:
-            values, _tier = self.resilience.fallback.predict(
-                session, [r.plan for r in requests]
-            )
-        except BaseException as chain_error:  # noqa: BLE001 — forwarded to callers
-            chain_error.__cause__ = primary_error
-            self._fail_requests(requests, chain_error)
-            return
+    def _run_fallback(self, session, requests: list[Prediction]) -> None:
+        """Serve a group through the fallback ladder (degraded completion)."""
+        values = fallback_latencies(session, [r.plan for r in requests])
         with self._lock:
             self._fallback_completed += len(requests)
         self._complete_requests(list(zip(requests, values)))

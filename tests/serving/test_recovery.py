@@ -674,6 +674,62 @@ class TestLifecycleStateMapping:
         recovered.journal.close()
         stack.journal.close()
 
+    def test_next_cycle_after_lost_manifests_trains_afresh(
+        self, tmp_path, model, corpus, plans, baseline_rel_error, monkeypatch
+    ):
+        """The manifests of a whole cycle fail to land, so
+        ``checkpoints/cycle-001`` outlives a manifest still at cycle 0.
+        After a restart the next cycle reuses that directory: it must
+        train afresh on its own samples, not resume the first cycle's
+        candidate."""
+        stack = make_stack(
+            tmp_path, model, plans, baseline_rel_error, fine_tune_epochs=1
+        )
+        manager = stack.manager
+        with stack.service:
+            serve_and_observe(stack.service, corpus[:40])
+            manager.poll()
+
+            def sick_disk(path, payload):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(lifecycle, "atomic_write_json", sick_disk)
+            serve_and_observe(stack.service, drifted_samples(40, seed=9))
+            manager.poll()
+            manager.retrain()
+            first = {
+                k: v.copy() for k, v in manager._candidate.model.state_dict().items()
+            }
+            manager.deploy_shadow()
+            manager.demote()
+        monkeypatch.undo()
+        assert (tmp_path / "checkpoints" / "cycle-001").is_dir()
+
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.manager.cycle == 0
+        with recovered.service:
+            serve_and_observe(recovered.service, drifted_samples(48, seed=13))
+            recovered.manager.poll()
+        samples = recovered.manager.training_samples()
+        assert len(samples) == 128
+        config = recovered.manager.config
+        reference_model, reference_history = fine_tune(
+            recovered.service.registry.model("qpp"),
+            samples,
+            epochs=config.fine_tune_epochs,
+            lr=config.fine_tune_lr,
+            batch_size=config.fine_tune_batch_size,
+            checkpoint_dir=str(tmp_path / "reference"),
+        )
+        history = recovered.manager.retrain()
+        candidate = recovered.manager._candidate.model.state_dict()
+        for key, ref in sorted(reference_model.state_dict().items()):
+            assert np.array_equal(ref, candidate[key]), key
+        assert history.train_loss == reference_history.train_loss
+        assert any(not np.array_equal(first[key], candidate[key]) for key in first)
+        recovered.journal.close()
+        stack.journal.close()
+
 
 def test_state_dir_pins_the_checkpoint_dir(tmp_path, model):
     """A manager with a ``state_dir`` retrains where recovery looks."""

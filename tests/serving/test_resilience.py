@@ -21,7 +21,6 @@ from repro.serving import (
     CircuitBreaker,
     CircuitOpenError,
     DeadlineExceededError,
-    FallbackChain,
     InferenceSession,
     InvalidPlanError,
     ModelRegistry,
@@ -29,8 +28,13 @@ from repro.serving import (
     PredictionService,
     ResiliencePolicy,
     ServiceError,
-    default_fallback_chain,
     heuristic_latency_ms,
+)
+from repro.serving.resilience import (
+    BREAKER_RESET_MS,
+    BREAKER_THRESHOLD,
+    MS_PER_COST_UNIT,
+    fallback_latencies,
 )
 from repro.testing import FaultySession, InjectedFault
 from repro.workload import Workbench
@@ -113,18 +117,6 @@ class TestValidation:
             stats = service.stats()
             assert stats.submitted == 0
         assert stats.rejected == 3
-
-    def test_validation_can_be_disabled(self, model, plans):
-        broken = copy.deepcopy(plans[0])
-        del broken.props["Total Cost"]
-        policy = ResiliencePolicy(validate_plans=False)
-        with PredictionService(model, max_wait_ms=1.0, resilience=policy) as service:
-            # No InvalidPlanError at the submit site: the plan is
-            # admitted (the featurizer tolerates the missing property)
-            # and the service keeps serving.
-            handle = service.submit(broken)
-            handle.result(timeout=30)
-            assert service.stats().rejected == 0
 
 
 # ----------------------------------------------------------------------
@@ -213,17 +205,6 @@ class TestPoisonIsolation:
         assert stats.failed == 0
         assert stats.completed == 6 * len(plans)
         assert faulty.faults_injected == 3
-
-    def test_isolation_disabled_fails_whole_batch(self, model, plans):
-        faulty = FaultySession(InferenceSession(model), poison_plans=[plans[2]])
-        registry = ModelRegistry()
-        registry.register_session("m", faulty)
-        policy = ResiliencePolicy(poison_isolation=False)
-        with PredictionService(
-            registry, max_batch_size=16, max_wait_ms=2.0, resilience=policy
-        ) as service:
-            values, errors = run_service(service, plans[:8])
-        assert len(errors) == 8 and not values
 
 
 # ----------------------------------------------------------------------
@@ -403,13 +384,6 @@ class TestDeadlines:
         assert exc_info.value.shed_at == "admission"
         service.stop(drain=False)
 
-    def test_default_deadline_from_policy(self, model, plans):
-        policy = ResiliencePolicy(default_deadline_ms=10_000.0)
-        with PredictionService(model, max_wait_ms=1.0, resilience=policy) as service:
-            handle = service.submit(plans[0])
-            assert handle.deadline_at is not None
-            assert handle.result(timeout=30) > 0
-
 
 # ----------------------------------------------------------------------
 # Tentpole: circuit breaker
@@ -442,58 +416,45 @@ class TestCircuitBreaker:
         faulty = FaultySession(InferenceSession(model), fail_every=1)
         registry = ModelRegistry()
         registry.register_session("m", faulty)
-        policy = ResiliencePolicy(breaker_threshold=2, breaker_reset_ms=100.0, clock=clock)
+        policy = ResiliencePolicy(clock=clock)
         with PredictionService(
             registry, max_batch_size=4, max_wait_ms=0.5, resilience=policy
         ) as service:
-            # Two failing batches trip the breaker.
-            for _ in range(2):
+            # BREAKER_THRESHOLD failing batches trip the breaker.
+            for _ in range(BREAKER_THRESHOLD):
                 _, errors = run_service(service, plans[:4])
                 assert len(errors) == 4
             assert service.stats().breaker_states["m"] == "open"
             with pytest.raises(CircuitOpenError) as exc_info:
                 service.submit(plans[0], model="m")
-            assert exc_info.value.retry_after_ms <= 100.0
+            assert exc_info.value.retry_after_ms <= BREAKER_RESET_MS
             stats = service.stats()
             assert stats.breaker_rejected >= 1
             # Heal the model, let the reset window pass: the half-open
             # probe succeeds and closes the breaker.
             faulty.fail_every = 0
-            clock.advance(0.2)
+            clock.advance(2 * BREAKER_RESET_MS / 1e3)
             assert service.stats().breaker_states["m"] == "half_open"
             value = service.predict(plans[0], model="m")
             assert value == reference[0]
             assert service.stats().breaker_states["m"] == "closed"
 
-    def test_breaker_disabled_with_zero_threshold(self, model, plans):
-        faulty = FaultySession(InferenceSession(model), fail_every=1)
-        registry = ModelRegistry()
-        registry.register_session("m", faulty)
-        policy = ResiliencePolicy(breaker_threshold=0)
-        with PredictionService(
-            registry, max_batch_size=4, max_wait_ms=0.5, resilience=policy
-        ) as service:
-            for _ in range(3):
-                _, errors = run_service(service, plans[:4])
-                assert len(errors) == 4  # keeps failing, never fast-rejects
-            assert service.stats().breaker_states == {}
-
 
 # ----------------------------------------------------------------------
-# Tentpole: fallback chain
+# Tentpole: fallback ladder
 # ----------------------------------------------------------------------
 class TestFallback:
     def test_heuristic_latency_uses_cost(self, plans):
-        value = heuristic_latency_ms(plans[0], ms_per_cost_unit=0.01)
-        assert value == pytest.approx(float(plans[0].props["Total Cost"]) * 0.01)
+        value = heuristic_latency_ms(plans[0])
+        assert value == pytest.approx(
+            float(plans[0].props["Total Cost"]) * MS_PER_COST_UNIT
+        )
 
     def test_primary_failure_served_by_taped_reference(self, model, plans):
         faulty = FaultySession(InferenceSession(model), fail_every=1)
         registry = ModelRegistry()
         registry.register_session("m", faulty)
-        policy = ResiliencePolicy(
-            breaker_threshold=0, fallback=default_fallback_chain()
-        )
+        policy = ResiliencePolicy(fallback=True)
         with PredictionService(
             registry, max_batch_size=8, max_wait_ms=0.5, resilience=policy
         ) as service:
@@ -517,8 +478,7 @@ class TestFallback:
         session = InferenceSession(model)
         with pytest.raises(RuntimeError, match="level plan down"):
             session.predict_batch(plans[:8])
-        values, tier = default_fallback_chain().predict(session, plans[:8])
-        assert tier == "taped"
+        values = fallback_latencies(session, plans[:8])
         assert values == expected
 
     def test_open_breaker_routes_to_fallback(self, model, plans):
@@ -526,44 +486,50 @@ class TestFallback:
         faulty = FaultySession(InferenceSession(model), fail_every=1)
         registry = ModelRegistry()
         registry.register_session("m", faulty)
-        policy = ResiliencePolicy(
-            breaker_threshold=1, breaker_reset_ms=10_000.0,
-            fallback=default_fallback_chain(), clock=clock,
-        )
+        policy = ResiliencePolicy(fallback=True, clock=clock)
         with PredictionService(
             registry, max_batch_size=8, max_wait_ms=0.5, resilience=policy
         ) as service:
-            values, errors = run_service(service, plans[:8])
-            assert errors == {}
+            for _ in range(BREAKER_THRESHOLD):
+                values, errors = run_service(service, plans[:8])
+                assert errors == {}
             assert service.stats().breaker_states["m"] == "open"
-            # Breaker now open: requests still complete, via the chain,
-            # without touching the primary.
+            # Breaker now open: requests still complete, via the
+            # ladder, without touching the primary.
             calls_before = faulty.calls
             more_values, more_errors = run_service(service, plans[:8])
             stats = service.stats()
         assert more_errors == {}
         assert faulty.calls == calls_before
-        assert stats.fallback_completed == 16
+        assert stats.fallback_completed == 8 * (BREAKER_THRESHOLD + 1)
         taped = [model.predict(p) for p in plans[:8]]
         assert [more_values[i] for i in sorted(more_values)] == taped
 
-    def test_chain_exhaustion_fails_with_primary_cause(self, model, plans):
-        def broken_tier(session, tier_plans):
-            raise RuntimeError("tier down")
+    def test_last_rung_serves_the_cost_heuristic(self, model, plans, monkeypatch):
+        """Primary and taped rung both down: every request still
+        completes through the service, with the optimizer-cost
+        heuristic."""
 
+        def broken(self, plan):
+            raise RuntimeError("taped reference down")
+
+        monkeypatch.setattr(QPPNet, "predict", broken)
         faulty = FaultySession(InferenceSession(model), fail_every=1)
         registry = ModelRegistry()
         registry.register_session("m", faulty)
-        policy = ResiliencePolicy(
-            breaker_threshold=0, fallback=FallbackChain([("broken", broken_tier)])
-        )
         with PredictionService(
-            registry, max_batch_size=4, max_wait_ms=0.5, resilience=policy
+            registry,
+            max_batch_size=8,
+            max_wait_ms=0.5,
+            resilience=ResiliencePolicy(fallback=True),
         ) as service:
-            _, errors = run_service(service, plans[:4])
-        assert len(errors) == 4
-        for error in errors.values():
-            assert isinstance(error.__cause__, InjectedFault)
+            values, errors = run_service(service, plans[:16])
+            stats = service.stats()
+        assert errors == {}
+        heuristic = [heuristic_latency_ms(p) for p in plans[:16]]
+        assert [values[i] for i in sorted(values)] == heuristic
+        assert stats.fallback_completed == 16
+        assert stats.failed == 0
 
 
 # ----------------------------------------------------------------------
