@@ -192,13 +192,3 @@ class MART:
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(X)
         return out[0] if single else out
-
-    def staged_predict(self, X: np.ndarray) -> np.ndarray:
-        """(n_trees, n) predictions after each boosting stage."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.full(len(X), self.base_)
-        stages = []
-        for tree in self.trees_:
-            out = out + self.learning_rate * tree.predict(X)
-            stages.append(out.copy())
-        return np.vstack(stages)

@@ -22,7 +22,7 @@ from scipy.optimize import nnls
 from repro.plans.node import PlanNode
 from repro.workload.generator import PlanSample
 
-from .common import RESOURCE_NAMES, resource_counts
+from .common import resource_counts
 
 
 class TAMPredictor:
@@ -61,11 +61,3 @@ class TAMPredictor:
             raise RuntimeError("TAMPredictor is not fitted")
         value = float(resource_counts(plan) @ self.coefficients_) + self.intercept_
         return max(0.01, value)
-
-    def calibration_report(self) -> dict[str, float]:
-        """Fitted per-unit costs (ms per unit) — the tuned parameters."""
-        if self.coefficients_ is None:
-            raise RuntimeError("TAMPredictor is not fitted")
-        report = dict(zip(RESOURCE_NAMES, self.coefficients_.tolist()))
-        report["intercept_ms"] = self.intercept_
-        return report

@@ -121,12 +121,5 @@ class Schema:
     def __len__(self) -> int:
         return len(self._tables)
 
-    @property
-    def table_names(self) -> list[str]:
-        return list(self._tables)
-
     def total_rows(self) -> int:
         return sum(t.row_count for t in self)
-
-    def total_pages(self) -> int:
-        return sum(t.page_count for t in self)

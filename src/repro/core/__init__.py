@@ -8,7 +8,6 @@ from .checkpoint import (
     latest_valid_checkpoint,
     list_checkpoints,
     load_checkpoint,
-    prune_checkpoints,
     save_checkpoint,
 )
 from .batching import (
@@ -55,7 +54,6 @@ __all__ = [
     "load_checkpoint",
     "list_checkpoints",
     "latest_valid_checkpoint",
-    "prune_checkpoints",
     "PlanGraph",
     "PlanBucket",
     "VectorizedPlan",

@@ -12,13 +12,17 @@ trained on one machine predicts identically on another:
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import zipfile
 from typing import Union
 
+import numpy as np
+
 from repro.featurize.serialize import featurizer_from_dict, featurizer_to_dict
 
+from . import durable
 from .config import QPPNetConfig
 from .model import QPPNet
 
@@ -43,15 +47,16 @@ class BundleCorruptError(RuntimeError):
 
 
 def save_bundle(model: QPPNet, directory: PathLike) -> str:
-    """Persist ``model`` (weights + featurizer + config) under ``directory``."""
-    directory = str(directory)
-    os.makedirs(directory, exist_ok=True)
-    model.save(os.path.join(directory, WEIGHTS_FILE))
-    with open(os.path.join(directory, FEATURIZER_FILE), "w") as handle:
-        json.dump(featurizer_to_dict(model.featurizer), handle)
-    with open(os.path.join(directory, CONFIG_FILE), "w") as handle:
-        json.dump(dataclasses.asdict(model.config), handle)
-    return directory
+    """Persist ``model`` (weights + featurizer + config) as ``directory``,
+    published whole and durable by :func:`repro.core.durable.publish_dir`
+    (an existing ``directory`` is replaced)."""
+    weights = io.BytesIO()
+    np.savez(weights, **model.state_dict())
+    featurizer = json.dumps(featurizer_to_dict(model.featurizer)).encode()
+    config = json.dumps(dataclasses.asdict(model.config)).encode()
+    files = {WEIGHTS_FILE: weights.getvalue(), FEATURIZER_FILE: featurizer, CONFIG_FILE: config}
+    durable.publish_dir(directory, files)
+    return str(directory)
 
 
 def load_bundle(directory: PathLike) -> QPPNet:

@@ -6,11 +6,11 @@ for a good one, and resuming from the last good one must reproduce the
 uninterrupted run's loss trajectory *bitwise* (same batches, same
 updates, same floats).  Three mechanisms deliver that:
 
-**Atomic publication.**  :func:`save_checkpoint` writes the archive to a
-temporary file in the target directory, ``fsync``\\ s it, hashes the
-bytes, and publishes it with a single ``os.replace`` to its final name
-(then fsyncs the directory so the rename itself is durable).  A crash
-mid-write leaves only a ``.tmp`` file, which the scanner ignores.
+**Atomic publication.**  :func:`save_checkpoint` serializes the archive
+in memory and publishes it under its digest's name through
+:func:`repro.core.durable.publish`, so that name only ever refers to a
+complete, durable file; a crash mid-write leaves a dot-tmp file the
+scanner ignores.
 
 **Self-verifying names.**  The final filename embeds a content digest::
 
@@ -49,6 +49,7 @@ checkpoint_dir=..., checkpoint_every=...)``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -58,6 +59,8 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 import numpy as np
+
+from . import durable
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -100,14 +103,6 @@ def checkpoint_name(epoch: int, digest: str) -> str:
     return f"ckpt-{epoch:06d}-{digest[:_DIGEST_CHARS]}.npz"
 
 
-def _file_digest(path: PathLike) -> str:
-    hasher = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            hasher.update(chunk)
-    return hasher.hexdigest()
-
-
 def save_checkpoint(
     directory: PathLike,
     *,
@@ -121,12 +116,9 @@ def save_checkpoint(
 ) -> Path:
     """Durably write one checkpoint; returns the published path.
 
-    Write-temp + fsync + ``os.replace``: the final name only ever refers
-    to a complete, fsynced file, and it embeds the content digest so the
-    loader can verify it byte-for-byte.
+    The final name embeds the content digest, so the loader can verify
+    it byte-for-byte.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     opt_scalars: dict[str, Any] = {}
     for name, value in model_state.items():
@@ -147,29 +139,11 @@ def save_checkpoint(
     }
     arrays["__meta__"] = np.array(json.dumps(meta))
 
-    temp_path = directory / f".ckpt-{epoch:06d}.tmp"
-    try:
-        with open(temp_path, "wb") as handle:
-            np.savez(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        final_path = directory / checkpoint_name(epoch, _file_digest(temp_path))
-        os.replace(temp_path, final_path)
-    except BaseException:
-        temp_path.unlink(missing_ok=True)
-        raise
-    # Make the rename durable too (best-effort: not every OS/filesystem
-    # supports opening a directory for fsync).
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        pass
-    else:
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    return final_path
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    data = buffer.getvalue()
+    digest = hashlib.sha256(data).hexdigest()
+    return durable.publish(Path(directory) / checkpoint_name(epoch, digest), data)
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:
@@ -187,7 +161,7 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     if not path.exists():
         raise CheckpointError(f"checkpoint does not exist: {path}")
     expected = match.group(2)
-    actual = _file_digest(path)
+    actual = hashlib.sha256(path.read_bytes()).hexdigest()
     if actual[:_DIGEST_CHARS] != expected:
         raise CheckpointCorruptError(path, f"digest mismatch (file {actual[:_DIGEST_CHARS]}, name {expected})")
     try:
@@ -228,43 +202,19 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
 
 
 def atomic_write_json(path: PathLike, payload: Any) -> Path:
-    """Durably publish one JSON document with the checkpoint pattern.
+    """Durably publish one JSON document (drift snapshots, lifecycle
+    manifests) through :func:`repro.core.durable.publish`.
 
-    Same temp + fsync + ``os.replace`` + directory-fsync dance as
-    :func:`save_checkpoint`, for small JSON state (drift snapshots,
-    lifecycle manifests).  The document wraps the payload with a sha256
-    of its canonical serialization, so :func:`load_verified_json` can
-    tell a torn or bit-rotted file from a good one.  A crash mid-write
-    leaves only a dot-tmp file, which readers never see; the previous
-    published document survives intact.
+    The document wraps the payload with a sha256 of its canonical
+    serialization, so :func:`load_verified_json` can tell a torn or
+    bit-rotted file from a good one.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     document = json.dumps(
         {"sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
          "payload": payload}
     )
-    temp_path = path.parent / f".{path.name}.tmp"
-    try:
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        temp_path.unlink(missing_ok=True)
-        raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
-        pass
-    else:
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    return path
+    return durable.publish(path, document.encode("utf-8"))
 
 
 def load_verified_json(path: PathLike) -> Any:
@@ -327,12 +277,3 @@ def latest_valid_checkpoint(directory: PathLike) -> Optional[Checkpoint]:
             continue
     return None
 
-
-def prune_checkpoints(directory: PathLike, keep: int = 3) -> list[Path]:
-    """Delete all but the ``keep`` newest checkpoints; returns deletions."""
-    if keep < 1:
-        raise ValueError("keep must be >= 1")
-    doomed = list_checkpoints(directory)[:-keep]
-    for path in doomed:
-        path.unlink(missing_ok=True)
-    return doomed

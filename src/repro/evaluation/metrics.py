@@ -115,10 +115,6 @@ class AccuracySummary:
     buckets: RBuckets
     n_queries: int
 
-    @property
-    def mae_minutes(self) -> float:
-        return self.mae_ms / 60_000.0
-
     def row(self) -> dict[str, object]:
         w15, w2, b2 = self.buckets.as_percentages()
         return {

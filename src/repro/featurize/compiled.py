@@ -418,13 +418,12 @@ class FeatureProgramCache:
         return (graph.signature, _identity_parts(self.layout(graph), nodes))
 
     def digests(
-        self, graph: "PlanGraph", node_lists: Sequence[Sequence["PlanNode"]]
+        self, graph: "PlanGraph", node_lists: Sequence[Sequence["PlanNode"]], layout=None
     ) -> list[tuple]:
-        """:meth:`digest` for a whole structure bucket, resolving the
-        signature's layout once instead of per plan (hot-path form)."""
-        layout = self.layout(graph)
-        signature = graph.signature
-        return [(signature, _identity_parts(layout, nodes)) for nodes in node_lists]
+        """:meth:`digest` for a whole structure bucket, with the signature's
+        layout resolved once (or the caller's) instead of per plan."""
+        layout = layout or self.layout(graph)
+        return [(graph.signature, _identity_parts(layout, nodes)) for nodes in node_lists]
 
     def __len__(self) -> int:
         return len(self._programs)

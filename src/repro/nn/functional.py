@@ -26,16 +26,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), backward)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    mask = x.data > 0
-    data = np.where(mask, x.data, slope * x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * np.where(mask, 1.0, slope))
-
-    return Tensor._make(data, (x,), backward)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-x.data))
 
@@ -50,16 +40,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (1.0 - data**2))
-
-    return Tensor._make(data, (x,), backward)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """Numerically stable ``log(1 + exp(x))``; useful as a positive head."""
-    data = np.logaddexp(0.0, x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad / (1.0 + np.exp(-x.data)))
 
     return Tensor._make(data, (x,), backward)
 

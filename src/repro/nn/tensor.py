@@ -238,10 +238,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Return a view of the data cut off from the autodiff graph."""
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------
     # Arithmetic ops
     # ------------------------------------------------------------------

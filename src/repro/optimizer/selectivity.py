@@ -82,14 +82,3 @@ class SelectivityModel:
         """Textbook equi-join selectivity: ``1 / max(ndv_l, ndv_r)``."""
         return 1.0 / max(1, left_ndv, right_ndv)
 
-    def join_depth_drift(self, template_id: str, depth: int) -> float:
-        """Systematic per-template multiplicative truth drift at ``depth``.
-
-        Real optimizers' errors compound with join depth (correlations they
-        cannot see).  We model truth as drifting away from the estimate by
-        a per-template factor ``gamma**depth`` with ``gamma`` drawn once
-        per (database, template).
-        """
-        rng = _stable_rng("drift", self.seed, template_id)
-        gamma = float(math.exp(rng.normal(0.0, 0.18)))
-        return gamma**depth

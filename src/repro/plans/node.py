@@ -15,13 +15,12 @@ device factors).  It is never exposed to any model: featurization reads
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .operators import (
     PHYSICAL_TO_LOGICAL,
     LogicalType,
     PhysicalOp,
-    arity_of,
     logical_type_of,
 )
 
@@ -55,10 +54,6 @@ class PlanNode:
     @property
     def logical_type(self) -> LogicalType:
         return logical_type_of(self.op)
-
-    @property
-    def expected_arity(self) -> int:
-        return arity_of(self.logical_type)
 
     @property
     def is_leaf(self) -> bool:
@@ -138,12 +133,6 @@ class PlanNode:
         copy.actual_total_ms = self.actual_total_ms
         copy.truth = dict(self.truth)
         return copy
-
-    def map_nodes(self, fn: Callable[["PlanNode"], None]) -> "PlanNode":
-        """Apply ``fn`` to every node (preorder), returning self."""
-        for node in self.preorder():
-            fn(node)
-        return self
 
     # ------------------------------------------------------------------
     # Serialization

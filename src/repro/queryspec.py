@@ -165,7 +165,3 @@ class QuerySpec:
             if ref.alias == alias:
                 return ref
         raise KeyError(f"no alias {alias!r} in query {self.template_id}")
-
-    @property
-    def n_tables(self) -> int:
-        return len(self.tables)

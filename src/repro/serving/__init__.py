@@ -214,13 +214,14 @@ boot; after a crash :meth:`~repro.serving.recovery.ServiceRecovery
 **What survives a crash at any instant:**
 
 * every outcome record whose journal frame was fsynced (batched — at
-  most ``fsync_every - 1`` recent records ride only in the page cache);
-  replay order is append order, and sequence numbering continues where
-  the dead process stopped;
+  most ``fsync_every - 1`` recent records ride only in the page cache;
+  every write goes through :mod:`repro.core.durable`); replay order is
+  append order, and sequence numbering continues where it stopped;
 * the drift detectors *exactly*: the snapshot stores EWMA,
   Page–Hinkley scalars and the unseen-structure window as JSON (floats
-  round-trip bitwise), and recovery replays only the journal suffix
-  past the snapshot cursor through the restored monitor — after the
+  round-trip bitwise), never covers a non-durable journal record, and is
+  republished before a promotion's or demotion's manifest; recovery
+  replays only the journal suffix past the snapshot cursor — after the
   recovery poll, detector state is identical to a process that never
   died;
 * an interrupted fine-tune: recovery lands back in ``retraining``,
@@ -240,16 +241,12 @@ boot; after a crash :meth:`~repro.serving.recovery.ServiceRecovery
   ``promoted`` manifest completes its cycle, so the next retrain starts
   in a fresh checkpoint directory instead of resuming a finished one.
 
-**Torn and rotten disk state degrades, never raises:** a torn final
-record is truncated away, a record whose CRC fails is skipped, a
-segment with a bad header is quarantined (renamed ``*.corrupt``), a
-failed ``fsync``/write closes the journal into its ``io_errors``
-counter, a failed snapshot or manifest write increments the manager's
-``snapshot_errors``/``manifest_errors`` — all surfaced as counters,
-with replay damage typed on :class:`~repro.serving.journal.ReplayResult`
-and the :class:`~repro.serving.recovery.RecoveryReport`.  Only unrecoverable
-damage (missing/corrupt manifest, unloadable bundle) raises
-:class:`~repro.serving.resilience.RecoveryError`.
+**Torn and rotten disk state degrades, never raises:** journal damage
+is repaired or quarantined by the replay rules of
+:mod:`repro.serving.journal`, and write failures count in the journal's
+``io_errors`` and the manager's ``snapshot_errors``/``manifest_errors``.
+Only unrecoverable damage (missing/corrupt manifest, unloadable bundle)
+raises :class:`~repro.serving.resilience.RecoveryError`.
 
 **Lost by design:** un-fsynced tail records; in-memory shadow evidence
 (a crash in ``shadow`` recovers into ``retraining`` — the candidate is

@@ -23,10 +23,12 @@ record's scalars plus the plan serialized through the existing
 plan-JSON round-trip (:meth:`~repro.plans.node.PlanNode.to_dict`), so a
 replayed plan reconstructs bitwise-identical featurization inputs.
 
-**Write path.**  Appends go through one buffered handle; every append
-is flushed to the OS, and ``fsync`` is *batched* — one real fsync per
-``fsync_every`` appends (plus on :meth:`sync`/:meth:`close`), bounding
-the crash-loss window without paying a disk flush per outcome.  An
+**Write path.**  Every disk effect goes through :mod:`repro.core.durable`.
+A new segment's magic and directory entry are fsynced before its first
+record.  Every append is flushed to the OS, and ``fsync`` is *batched*:
+one per ``fsync_every`` appends, plus on :meth:`sync`/:meth:`close` and
+before a rotation closes a segment, so a power loss takes at most the
+newest records of the final segment.  An
 ``OSError`` out of the write or fsync (disk full, injected fault) is
 swallowed into the ``io_errors`` counter and the handle is closed for
 reopen on the next append: durability degrades, serving never dies.
@@ -63,6 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.core import durable
 from repro.plans.node import PlanNode
 
 from .resilience import JournalError
@@ -168,8 +171,9 @@ class OutcomeJournal:
         higher values bound the crash-loss window at ``fsync_every - 1``
         records while amortizing the flush.
     fsync_fn:
-        Injection seam for the chaos drills (defaults to ``os.fsync``);
-        see :func:`repro.testing.faults.failing_fsync`.
+        Injection seam for the chaos drills: an ``os.fsync`` stand-in for
+        the record fsync (default :func:`repro.core.durable.fsync`); see
+        :func:`repro.testing.faults.failing_fsync`.
     """
 
     def __init__(
@@ -184,11 +188,10 @@ class OutcomeJournal:
             raise JournalError("segment_max_bytes is too small to hold one record")
         if fsync_every < 1:
             raise JournalError("fsync_every must be >= 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = durable.make_dirs(directory)
         self.segment_max_bytes = int(segment_max_bytes)
         self.fsync_every = int(fsync_every)
-        self._fsync = fsync_fn if fsync_fn is not None else os.fsync
+        self._fsync_fn = fsync_fn
         self._lock = threading.Lock()
         self._handle = None
         self._path: Optional[Path] = None
@@ -220,13 +223,11 @@ class OutcomeJournal:
                     and self._size > len(SEGMENT_MAGIC)
                 ):
                     self._rotate_locked(record.seq)
-                self._handle.write(frame)
-                self._handle.flush()
+                durable.append(self._handle, frame)
                 self._size += len(frame)
                 self._unsynced += 1
                 if self._unsynced >= self.fsync_every:
-                    self._fsync(self._handle.fileno())
-                    self._unsynced = 0
+                    self._fsync_locked()
             except OSError:
                 self.io_errors += 1
                 self._close_locked()
@@ -240,9 +241,7 @@ class OutcomeJournal:
             if self._handle is None:
                 return True
             try:
-                self._handle.flush()
-                self._fsync(self._handle.fileno())
-                self._unsynced = 0
+                self._fsync_locked()
             except OSError:
                 self.io_errors += 1
                 self._close_locked()
@@ -254,6 +253,13 @@ class OutcomeJournal:
         self.sync()
         with self._lock:
             self._close_locked()
+
+    def _fsync_locked(self) -> None:
+        if self._fsync_fn is None:
+            durable.fsync(self._handle)
+        else:
+            self._fsync_fn(self._handle.fileno())
+        self._unsynced = 0
 
     def _close_locked(self) -> None:
         handle, self._handle = self._handle, None
@@ -267,7 +273,9 @@ class OutcomeJournal:
                 pass
 
     def _rotate_locked(self, first_seq: int) -> None:
-        """Open a fresh segment named after its first record's seq."""
+        """Fsync the closing segment; open one named after its first seq."""
+        if self._unsynced:
+            self._fsync_locked()
         self._close_locked()
         path = self.directory / f"segment-{first_seq:08d}.wal"
         while path.exists():
@@ -275,10 +283,9 @@ class OutcomeJournal:
             # this name; never overwrite journal bytes.
             first_seq += 1
             path = self.directory / f"segment-{first_seq:08d}.wal"
-        handle = open(path, "ab")
-        handle.write(SEGMENT_MAGIC)
-        handle.flush()
-        self._handle = handle
+        self._handle = durable.write(path, SEGMENT_MAGIC)
+        durable.fsync(self._handle)  # the entry must never name an empty file
+        durable.fsync_dir(self.directory)
         self._path = path
         self._size = len(SEGMENT_MAGIC)
         self._unsynced = 0
@@ -326,15 +333,14 @@ class OutcomeJournal:
                         size = path.stat().st_size
                         if keep < size:
                             torn_tail_bytes = size - keep
-                            os.truncate(path, keep)
+                            durable.truncate(path, keep)
                     except OSError:
                         pass
             # Append to the last surviving segment instead of rotating.
             live = self.segments()
             if live:
                 try:
-                    handle = open(live[-1], "ab")
-                    self._handle = handle
+                    self._handle = durable.open_append(live[-1])
                     self._path = live[-1]
                     self._size = live[-1].stat().st_size
                 except OSError:
@@ -398,7 +404,7 @@ class OutcomeJournal:
             n += 1
             target = path.with_suffix(f".corrupt{n}")
         try:
-            os.replace(path, target)
+            durable.rename(path, target)
         except OSError:
             pass
 
@@ -424,16 +430,10 @@ class OutcomeJournal:
                     break
             for path in doomed:
                 try:
-                    path.unlink()
+                    durable.remove(path)
                 except OSError:
                     break
             return doomed
-
-    def __enter__(self) -> "OutcomeJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

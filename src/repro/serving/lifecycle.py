@@ -1,10 +1,7 @@
 """Live model lifecycle: observe → detect → retrain → shadow → promote.
 
-The serving stack through PR 7 treats the model as immortal: train once,
-register, serve forever.  Production QPP does not work that way — the
-LinkedIn evaluation (PAPERS.md) found drift and staleness to be *the*
-operational problems.  This module closes the loop on top of machinery
-that already exists:
+Drift and staleness are the operational problems of learned QPP (the
+LinkedIn evaluation, PAPERS.md).  This module closes the loop:
 
 * the **outcome journal** (``PredictionService.record_outcome`` /
   ``Prediction.observe``) supplies the observed stream;
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
 import threading
 import time
 from collections import OrderedDict, deque
@@ -51,6 +47,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core import durable
 from repro.core.bundle import save_bundle
 from repro.core.checkpoint import atomic_write_json
 from repro.core.trainer import TrainingHistory, fine_tune
@@ -376,16 +373,13 @@ class LifecycleManager:
     **Durable state.** With a ``state_dir`` (what
     :class:`~repro.serving.recovery.ServiceRecovery` wires), every
     transition atomically republishes ``<state_dir>/manifest.json``
-    (state, cycle and model pointers together, in one write), and
-    :meth:`poll` snapshots the drift monitor.  The config's
-    ``checkpoint_dir`` must then be ``<state_dir>/checkpoints``, where
-    recovery looks for an interrupted retrain.  ``bundles`` maps model
-    names to bundle directories relative to ``state_dir``; a promotion
-    saves the candidate to a fresh one only after the state check and
-    the gate pass, so a refused promotion writes nothing.  Manifest
-    and snapshot write failures are swallowed into
-    :attr:`manifest_errors` / :attr:`snapshot_errors`: a sick disk
-    degrades durability, never the state machine.
+    (state, cycle and model pointers in one write) and :meth:`poll`
+    snapshots the drift monitor; ``checkpoint_dir`` must be
+    ``<state_dir>/checkpoints``, where recovery resumes a retrain.
+    ``bundles`` maps model names to bundle directories relative to
+    ``state_dir``; a refused promotion writes nothing.  Write failures
+    are swallowed into :attr:`manifest_errors` / :attr:`snapshot_errors`:
+    a sick disk degrades durability, never the state machine.
     """
 
     def __init__(
@@ -480,10 +474,13 @@ class LifecycleManager:
         with self._lock:
             return self._snapshot_errors
 
-    def _transition(self, new: str, detail: str = "") -> None:
-        # Caller holds self._lock.
+    def _transition(self, new: str, detail: str = "", *, reset_drift: bool = False) -> None:
+        # Caller holds self._lock.  A reset monitor's snapshot lands first, or neither.
         self._state = LifecycleState.check(self._state, new)
         self.events.append((new, detail))
+        if reset_drift and self.state_dir is not None and not self._publish_drift():
+            self.manifest_errors += 1
+            return
         self.persist_manifest()
 
     def persist_manifest(self) -> bool:
@@ -572,41 +569,49 @@ class LifecycleManager:
     def snapshot_drift(self) -> bool:
         """Atomically persist the drift state now; ``True`` on success.
 
-        Writes ``<state_dir>/drift.json`` (``False`` without a
-        ``state_dir``) by temp + fsync + rename via
-        :func:`repro.core.checkpoint.atomic_write_json`; a failed write
-        is swallowed into ``snapshot_errors`` (the poller must survive a
-        sick disk — the previous snapshot stays valid, replay just
-        covers more journal).  On success, on-disk journal segments
-        wholly behind both the snapshot cursor and the in-memory
-        retention window are pruned.
+        Syncs the outcome journal, so the snapshot never covers a record
+        a power loss could still take, then writes
+        ``<state_dir>/drift.json`` (``False`` without a ``state_dir``)
+        via :func:`repro.core.checkpoint.atomic_write_json`.  A failed
+        sync or write publishes nothing and counts in ``snapshot_errors``
+        (the previous snapshot stays valid, replay covers more journal).
+        On success, journal segments wholly behind both the snapshot
+        cursor and the in-memory retention window are pruned.
         """
         if self.state_dir is None:
             return False
         with self._lock:
-            payload = {
-                "format": 1,
-                "cursor": self._cursor,
-                "outcomes_lost": self._outcomes_lost,
-                "monitor": self.monitor.state_dict(),
-            }
-            try:
-                atomic_write_json(self.state_dir / DRIFT_SNAPSHOT_NAME, payload)
-            except Exception:
+            if not self._publish_drift():
                 self._snapshot_errors += 1
                 return False
-            self._since_snapshot = 0
-            log = self.service.outcomes
-            journal = getattr(log, "journal", None)
-            if journal is not None:
-                # Replay needs the suffix past the cursor (drift) and
-                # the newest maxlen records (log restore / retraining).
-                keep_from = min(self._cursor, max(0, log.total - log.maxlen))
-                try:
-                    journal.prune(keep_from)
-                except Exception:
-                    pass  # retention is best-effort; replay stays correct
             return True
+
+    def _publish_drift(self) -> bool:
+        # Caller holds self._lock and has a state_dir.
+        log = self.service.outcomes
+        journal = getattr(log, "journal", None)
+        if journal is not None and not journal.sync():
+            return False
+        payload = {
+            "format": 1,
+            "cursor": self._cursor,
+            "outcomes_lost": self._outcomes_lost,
+            "monitor": self.monitor.state_dict(),
+        }
+        try:
+            atomic_write_json(self.state_dir / DRIFT_SNAPSHOT_NAME, payload)
+        except Exception:
+            return False
+        self._since_snapshot = 0
+        if journal is not None:
+            # Replay needs the suffix past the cursor (drift) and the
+            # newest maxlen records (log restore / retraining).
+            keep_from = min(self._cursor, max(0, log.total - log.maxlen))
+            try:
+                journal.prune(keep_from)
+            except Exception:
+                pass  # retention is best-effort; replay stays correct
+        return True
 
     # ------------------------------------------------------------------
     # Stage 2: retrain (durable)
@@ -661,7 +666,7 @@ class LifecycleManager:
                 # landed.  Empty it before the ``retraining`` manifest
                 # names the cycle, so no crash can resume those files.
                 if self._cycle_dir().exists():
-                    shutil.rmtree(self._cycle_dir())
+                    durable.remove(self._cycle_dir())
                 self._transition(
                     LifecycleState.RETRAINING, f"{len(samples)} observed samples"
                 )
@@ -767,11 +772,12 @@ class LifecycleManager:
         drift monitor is re-armed for the new model.  Returns the
         retired shadow wrapper.
 
-        With a ``state_dir``, durable in three steps once the state
+        With a ``state_dir``, durable in four steps once the state
         check and the gate pass: the candidate's bundle lands in a fresh
-        ``models/<name>/cycle-NNN`` directory, the session swaps, and
-        the ``promoted`` manifest names the new bundle.  A crash before
-        that one write recovers the old pointer, whose bundle is intact.
+        ``models/<name>/cycle-NNN`` directory, the session swaps, the
+        re-armed monitor's drift snapshot is published, and then the
+        ``promoted`` manifest names the new bundle.  A crash before that
+        last write recovers the old pointer, whose bundle is intact.
         """
         with self._lock:
             if self._state != LifecycleState.SHADOW:
@@ -819,16 +825,18 @@ class LifecycleManager:
                 LifecycleState.PROMOTED,
                 f"candidate err {report.candidate_rel_error:.4f} "
                 f"vs primary {report.primary_rel_error:.4f}",
+                reset_drift=True,
             )
             return retired
 
     def demote(self) -> None:
         """Reject the candidate (from ``shadow``) or roll back a
         promotion (from ``promoted``); the previous model serves again.
-        One atomic swap either way; completes the cycle.  The one
-        ``demoted`` manifest carries the completed cycle and, after a
-        rollback, the restored bundle pointer: it never names the
-        candidate, and a restart never retrains into the finished
+        One atomic swap either way; completes the cycle.  The re-armed
+        monitor's drift snapshot is published first, then the one
+        ``demoted`` manifest, which carries the completed cycle and,
+        after a rollback, the restored bundle pointer: it never names
+        the candidate, and a restart never retrains into the finished
         cycle's checkpoints."""
         with self._lock:
             registry = self.service.registry
@@ -848,7 +856,7 @@ class LifecycleManager:
                 )
             self.monitor.reset()
             self._finish_cycle()
-            self._transition(LifecycleState.DEMOTED, detail)
+            self._transition(LifecycleState.DEMOTED, detail, reset_drift=True)
             self._cooldown_until = time.monotonic() + self.config.cooldown_s
 
     def _finish_cycle(self) -> None:

@@ -16,34 +16,29 @@ directory back into a running stack::
 
 **First boot** (:meth:`ServiceRecovery.create`) saves the model bundle,
 opens a fresh journal, publishes the manifest, and returns a
-:class:`RecoveredStack` whose :class:`~repro.serving.service
-.PredictionService`, :class:`~repro.evaluation.drift.DriftMonitor` and
-manager persist every durable event as a side effect of normal
-operation — outcomes via the journal, drift state via periodic
-snapshots, lifecycle transitions and model promotions via atomic
-manifest replacement.
+:class:`RecoveredStack` that keeps the directory current as a side
+effect of normal operation (journal appends, drift snapshots, manifest
+republication).
 
-**After a crash** (:meth:`ServiceRecovery.recover`) the same directory
-rebuilds the stack: the manifest names the bundles to load, the journal
-replays (torn tails truncated, corrupt segments quarantined — counters,
-never exceptions), the in-memory outcome log restores its retained
-window, the drift snapshot restores the detectors, and one initial poll
-feeds exactly the journal suffix past the snapshot cursor — leaving the
-EWMA, Page–Hinkley statistic and unseen-signature window *identical* to
-a process that never died.  A crash mid-retrain recovers in
-``retraining`` and the next ``retrain()`` resumes bitwise from its
-cycle's checkpoints.
+**After a crash** (:meth:`ServiceRecovery.recover`) the manifest names
+the bundles to load, the journal replays (damage becomes counters,
+never exceptions), the outcome log restores its window, the drift
+snapshot restores the detectors, and one poll feeds the journal suffix
+past the snapshot cursor, leaving the detectors *identical* to a
+process that never died.  A crash mid-retrain recovers in
+``retraining``, and the next ``retrain()`` resumes bitwise.
 
 **Model durability** uses versioned bundle directories plus manifest
-pointer swap: a promotion that passed its state check and gate saves
-the candidate's bundle to a fresh ``models/<name>/cycle-NNN``
-directory, swaps the live session, and then publishes the ``promoted``
-manifest, which names the new bundle.  A rollback publishes the
-``demoted`` manifest with the previous pointer restored.  Each
-transition is one manifest write carrying state and pointer together,
-so a crash at any instant leaves the manifest naming a complete bundle
-that matches its state (promotion durability is last-manifest-wins by
-design).
+pointer swap: a promotion saves the candidate's bundle to a fresh
+``models/<name>/cycle-NNN`` (through
+:func:`repro.core.durable.publish_dir`, so it is whole and durable
+first), swaps the live session, and then publishes the ``promoted``
+manifest naming it; a rollback's ``demoted`` manifest restores the
+previous pointer.  Each transition is one manifest write carrying state
+and pointer together, so after a process death or a power loss at any
+instant the manifest names a complete bundle that matches its state
+(last-manifest-wins by design).  ``tests/serving/test_crash_points.py``
+checks this at every crash point of four whole cycles.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from repro.core import durable
 from repro.core.bundle import save_bundle
 from repro.core.checkpoint import CheckpointError, load_verified_json
 from repro.core.model import QPPNet
@@ -179,8 +175,7 @@ class ServiceRecovery:
         """First boot: persist the model, arm the journal, publish the
         manifest, and return the running-state-free stack (the caller
         starts the service/manager)."""
-        state_dir = Path(state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
+        state_dir = durable.make_dirs(state_dir)
         bundle = _bundle_path(model_name, 0)
         save_bundle(model, state_dir / bundle)
         registry = ModelRegistry()

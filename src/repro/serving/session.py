@@ -351,12 +351,15 @@ class InferenceSession:
         step order, into a pooled buffer unless the batch is one plan.
         """
         programs, cache = self.programs, self.feature_cache
-        layouts = [programs.layout(b.graph) for b in buckets for _ in b.indices]
+        bucket_layouts = [(b, programs.layout(b.graph)) for b in buckets]
+        layouts = [layout for b, layout in bucket_layouts for _ in b.indices]
         nodes = [plan_nodes for b in buckets for plan_nodes in b.nodes]
         if cache is None:
             entries: list[Optional[dict]] = [None] * len(nodes)
         else:
-            digests = [d for b in buckets for d in programs.digests(b.graph, b.nodes)]
+            digests = [
+                d for b, layout in bucket_layouts for d in programs.digests(b.graph, b.nodes, layout)
+            ]
             entries = [cache.get(digest) for digest in digests]
         missed = [m for m, entry in enumerate(entries) if entry is None]
         if missed:

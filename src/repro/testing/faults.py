@@ -115,8 +115,8 @@ def failing_fsync(
     """An ``os.fsync`` stand-in that fails on chosen invocations.
 
     Plugs into :class:`~repro.serving.journal.OutcomeJournal`'s
-    ``fsync_fn`` seam (the sick-disk drill: durability must degrade to
-    the ``io_errors`` counter, never to an unhandled exception).
+    ``fsync_fn`` seam, the journal's record fsync (the sick-disk drill:
+    durability must degrade to ``io_errors``, never to an exception).
     ``calls`` names exact 1-based call numbers; ``every`` additionally
     fails every Nth call; ``error`` builds the exception (default
     ``OSError(EIO)``).  Successful calls delegate to the real

@@ -98,14 +98,6 @@ class TestMART:
         err_mart = np.mean(np.abs(mart.predict(X_test) - y_test))
         assert err_mart < err_tree
 
-    def test_staged_predictions_improve(self):
-        X, y = step_data()
-        mart = MART(n_trees=40, seed=0).fit(X, y)
-        stages = mart.staged_predict(X)
-        first_err = np.mean(np.abs(stages[0] - y))
-        last_err = np.mean(np.abs(stages[-1] - y))
-        assert last_err < first_err
-
     def test_single_sample(self):
         X, y = step_data()
         mart = MART(n_trees=5, seed=0).fit(X, y)

@@ -78,14 +78,6 @@ class TestFeatureHelpers:
 
 
 class TestTAM:
-    def test_calibration_report(self, dataset):
-        model = TAMPredictor(seed=0).fit(dataset.train)
-        report = model.calibration_report()
-        assert set(report) == {
-            "seq_pages", "rand_pages", "tuples", "index_tuples", "op_evals", "intercept_ms",
-        }
-        assert all(v >= 0 for v in report.values())  # NNLS coefficients
-
     def test_calibration_subset(self, dataset):
         few = TAMPredictor(n_calibration=10, seed=0).fit(dataset.train)
         assert few.coefficients_ is not None

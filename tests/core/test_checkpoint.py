@@ -17,7 +17,6 @@ from repro.core.checkpoint import (
     list_checkpoints,
     load_checkpoint,
     load_verified_json,
-    prune_checkpoints,
     save_checkpoint,
 )
 from repro.featurize import Featurizer
@@ -127,18 +126,6 @@ class TestCheckpointFiles:
         (tmp_path / "weights.npz").write_bytes(b"x")
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "weights.npz")
-
-    def test_prune_keeps_newest(self, tmp_path):
-        rng_state = np.random.default_rng(0).bit_generator.state
-        for epoch in range(1, 6):
-            save_checkpoint(
-                tmp_path, epoch=epoch, model_state={"w": np.zeros(1)},
-                optimizer_state={}, optimizer_class="SGD", rng_state=rng_state,
-            )
-        deleted = prune_checkpoints(tmp_path, keep=2)
-        assert len(deleted) == 3
-        remaining = [load_checkpoint(p).epoch for p in list_checkpoints(tmp_path)]
-        assert remaining == [4, 5]
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,6 @@ class TestActivations:
         F.relu(x).sum().backward()
         assert np.allclose(x.grad, [0.0, 1.0])
 
-    def test_leaky_relu(self):
-        x = Tensor([-2.0, 2.0], requires_grad=True)
-        y = F.leaky_relu(x, slope=0.1)
-        assert np.allclose(y.data, [-0.2, 2.0])
-        y.sum().backward()
-        assert np.allclose(x.grad, [0.1, 1.0])
-
     def test_sigmoid_range(self):
         x = Tensor(np.linspace(-10, 10, 21))
         y = F.sigmoid(x).data
@@ -35,10 +28,6 @@ class TestActivations:
 
     def test_tanh(self):
         assert F.tanh(Tensor([0.0])).data[0] == 0.0
-
-    def test_softplus_positive(self):
-        x = Tensor(np.linspace(-50, 50, 11))
-        assert np.all(F.softplus(x).data >= 0)
 
     def test_exp_log_inverse(self):
         x = Tensor([0.5, 1.0, 2.0])
@@ -111,8 +100,8 @@ class TestGradcheck:
 
     @pytest.mark.parametrize(
         "fn",
-        [F.sigmoid, F.tanh, F.softplus, F.exp, lambda x: F.leaky_relu(x, 0.05)],
-        ids=["sigmoid", "tanh", "softplus", "exp", "leaky_relu"],
+        [F.sigmoid, F.tanh, F.exp],
+        ids=["sigmoid", "tanh", "exp"],
     )
     def test_activation_gradients(self, fn):
         rng = np.random.default_rng(7)

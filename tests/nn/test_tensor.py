@@ -139,13 +139,6 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
-    def test_detach_cuts_graph(self):
-        x = Tensor([2.0], requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
-        y = d * 3.0
-        assert not y.requires_grad
-
     def test_deep_chain_no_recursion_error(self):
         # Iterative topological sort must handle graphs deeper than the
         # Python recursion limit.

@@ -74,9 +74,3 @@ class TestJoinModel:
         model = SelectivityModel()
         assert model.estimate_join_selectivity(100, 1000) == pytest.approx(1 / 1000)
         assert model.estimate_join_selectivity(0, 0) == 1.0  # guards /0
-
-    def test_depth_drift_compounds(self):
-        model = SelectivityModel(seed=0)
-        d1 = model.join_depth_drift("q", 1)
-        d3 = model.join_depth_drift("q", 3)
-        assert d3 == pytest.approx(d1**3)

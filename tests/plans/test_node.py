@@ -118,10 +118,5 @@ class TestCloneAndSerialize:
         assert restored.actual_total_ms == 1.5
         assert restored.props["Join Type"] == "inner"
 
-    def test_map_nodes(self):
-        plan = join_plan()
-        plan.map_nodes(lambda n: n.props.__setitem__("mark", 1))
-        assert all(n.props.get("mark") == 1 for n in plan.preorder())
-
     def test_repr(self):
         assert "Hash Join" in repr(join_plan())

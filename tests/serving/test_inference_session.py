@@ -189,6 +189,30 @@ class TestFeatureCache:
         assert stats.feature_cache_misses == 2
         assert stats.feature_cache_entries == 2
 
+    def test_each_bucket_resolves_its_layout_once(self, model, corpus, monkeypatch):
+        """Featurization resolves a bucket's layout once and uses it for
+        both the identity digests and the feature programs: one lookup
+        per plan in batches of one, one per structure in a fused batch."""
+        from repro.featurize.compiled import FeatureProgramCache
+
+        plans = [s.plan for s in corpus]
+        session = InferenceSession(model)
+        session.predict_batch(plans)  # warm: programs, layouts and cache
+        calls = []
+        real = FeatureProgramCache.layout
+
+        def layout(self, graph):
+            calls.append(graph.signature)
+            return real(self, graph)
+
+        monkeypatch.setattr(FeatureProgramCache, "layout", layout)
+        for plan in plans:
+            session.predict_batch([plan])
+        assert len(calls) == len(plans)
+        calls.clear()
+        session.predict_batch(plans)
+        assert len(calls) == len({plan_graph(p).signature for p in plans})
+
     def test_stats_snapshot(self, model, corpus):
         session = InferenceSession(model)
         plans = [s.plan for s in corpus[:8]]

@@ -674,6 +674,78 @@ class TestLifecycleStateMapping:
         recovered.journal.close()
         stack.journal.close()
 
+    @pytest.mark.parametrize("ending", ["reject", "promote", "rollback"])
+    def test_restart_after_cycle_end_restores_the_rearmed_monitor(
+        self, tmp_path, model, plans, baseline_rel_error, ending
+    ):
+        """``promote`` and ``demote`` re-arm the drift monitor.  A process
+        that dies right after, with no further poll, must recover that
+        re-armed monitor, not the pre-reset snapshot: otherwise the
+        first step retrains on the very outcomes that ended the cycle."""
+        stack = make_stack(
+            tmp_path, model, plans, baseline_rel_error, fine_tune_epochs=1
+        )
+        manager = stack.manager
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(48, seed=9))
+            manager.poll()
+            manager.retrain()
+            manager.deploy_shadow()
+            if ending == "reject":
+                manager.demote()
+            else:
+                manager.promote(force=True)
+            if ending == "rollback":
+                manager.demote()
+        # kill -9 here: no further poll.
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.monitor.state_dict() == stack.monitor.state_dict()
+        recovered.manager.step()
+        assert recovered.manager.state == LifecycleState.LIVE
+        recovered.journal.close()
+        stack.journal.close()
+
+    def test_snapshot_never_outruns_the_durable_journal(
+        self, tmp_path, model, corpus, plans, baseline_rel_error
+    ):
+        """With the default batched fsync, a drift snapshot must not cover
+        journal records a power loss can still take: the segment keeps
+        only what its last fsync made durable, while the fsynced snapshot
+        and manifest survive whole."""
+        synced = []
+
+        def fsync_fn(fd):
+            os.fsync(fd)
+            synced.append(os.fstat(fd).st_size)
+
+        stack = ServiceRecovery.create(
+            tmp_path,
+            model,
+            baseline_rel_error=baseline_rel_error,
+            thresholds=thresholds(),
+            known_signatures={p.structure_signature() for p in plans},
+            fsync_fn=fsync_fn,
+        )
+        with stack.service:
+            serve_and_observe(stack.service, corpus[:100])
+            stack.manager.poll()  # 100 >= drift_snapshot_every (64)
+        assert load_verified_json(tmp_path / DRIFT_SNAPSHOT_NAME)["cursor"] == 100
+        [segment] = stack.journal.segments()
+        os.truncate(segment, synced[-1])  # the power loss
+
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.manager.cursor <= recovered.report.max_seq
+        with recovered.service:
+            handle = recovered.service.submit(plans[0])
+            handle.result(timeout=30)
+            rec = handle.observe(100.0)
+        before = recovered.monitor.report().observations
+        recovered.manager.poll()
+        assert recovered.manager.cursor == rec.seq
+        assert recovered.monitor.report().observations == before + 1
+        recovered.journal.close()
+        stack.journal.close()
+
     def test_next_cycle_after_lost_manifests_trains_afresh(
         self, tmp_path, model, corpus, plans, baseline_rel_error, monkeypatch
     ):

@@ -109,4 +109,3 @@ class TestQuerySpec:
         assert spec.table_ref("a").table == "a"
         with pytest.raises(KeyError):
             spec.table_ref("b")
-        assert spec.n_tables == 1
