@@ -56,7 +56,8 @@ def main() -> None:
         registry.register(workload, result.models["QPP Net"])
 
     # Both trained QPP Nets stay loaded and servable: any later batch of
-    # plans routes to its workload's session (schedule caches stay warm).
+    # plans routes to its workload's session (its structure memo and the
+    # model's level plans stay warm).
     print(f"\nregistry serving models: {registry.names()}")
     for name in registry:
         session = registry.session(name)

@@ -24,10 +24,9 @@ from .batching import (
     vectorize_corpus,
     vectorize_plan,
 )
-from .compile import CompiledSchedule, ScheduleCache, ScheduleStep
 from .config import COMPUTE_DTYPES, TRAINING_ENGINES, TRAINING_MODES, QPPNetConfig
 from .levels import GraphLevels, LevelPlan, LevelPlanCache, LevelRun, LevelStep
-from .model import MIN_PREDICTION_MS, NonFiniteOutput, QPPNet
+from .model import MIN_PREDICTION_MS, NonFiniteOutput, QPPNet, taped_forward
 from .trainer import Trainer, TrainingHistory, fine_tune, train_qppnet
 from .unit import NeuralUnit
 
@@ -40,6 +39,7 @@ __all__ = [
     "QPPNet",
     "MIN_PREDICTION_MS",
     "NonFiniteOutput",
+    "taped_forward",
     "Trainer",
     "TrainingHistory",
     "train_qppnet",
@@ -66,9 +66,6 @@ __all__ = [
     "BufferPool",
     "PreGroupedCorpus",
     "CorpusBatch",
-    "CompiledSchedule",
-    "ScheduleCache",
-    "ScheduleStep",
     "GraphLevels",
     "LevelPlan",
     "LevelPlanCache",

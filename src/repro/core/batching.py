@@ -207,29 +207,14 @@ class BufferPool:
         self._buffers.clear()
 
 
-def _stack_rows(
-    rows: list[np.ndarray], pool: Optional[BufferPool], key: object
-) -> np.ndarray:
-    width = rows[0].shape[-1]
-    if pool is None:
-        return np.vstack(rows)
-    # The pool's default dtype decides the stacked precision: float64
-    # per-plan rows written into a float32 pool cast on write, so the
-    # batch matrices come out in the model's compute dtype directly.
-    out = pool.take(key, (len(rows), width))
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
-
-
 def group_by_structure(
-    plans: Sequence[VectorizedPlan], pool: Optional[BufferPool] = None
+    plans: Sequence[VectorizedPlan], dtype: Optional[np.dtype] = None
 ) -> list[StructureGroup]:
     """Partition into equivalence classes c1..cn (paper §5.1.1).
 
-    With a :class:`BufferPool`, the stacked feature/label matrices are
-    written into reused buffers instead of fresh ``np.vstack`` output —
-    the per-batch steady state of training and serving allocates nothing.
+    Each group's feature and label matrices are stacked in ``dtype``
+    (the rows' own precision when ``None``), so a float32 model's taped
+    batches enter its units in float32.
     """
     buckets: dict[str, list[VectorizedPlan]] = {}
     for plan in plans:
@@ -239,10 +224,10 @@ def group_by_structure(
         members = buckets[signature]
         graph = members[0].graph
         features = [
-            _stack_rows([m.features[p] for m in members], pool, (signature, p))
+            np.vstack([m.features[p] for m in members], dtype=dtype)
             for p in range(graph.n_nodes)
         ]
-        labels = _stack_rows([m.labels for m in members], pool, (signature, "labels"))
+        labels = np.vstack([m.labels for m in members], dtype=dtype)
         groups.append(StructureGroup(graph, features, labels))
     return groups
 

@@ -50,9 +50,9 @@ Execution is symmetric in both directions:
   children's rows with one indexed add.  Level-0 steps skip the
   input-gradient product: their inputs are constant plan features.
 
-The taped autodiff (:meth:`~repro.core.compile.CompiledSchedule.run_training`)
-stays the reference: forward outputs and every parameter gradient match
-it to <= 1e-9 in float64.
+The taped autodiff (:func:`~repro.core.model.taped_forward`) stays the
+reference: forward outputs and every parameter gradient match it to
+<= 1e-9 in float64.
 """
 
 from __future__ import annotations

@@ -13,12 +13,15 @@ Two forward strategies implement the §5.1.2 ablation:
 * :meth:`forward_subtree_uncached` — the naive strawman: evaluating an
   operator's output recomputes its whole subtree, so a plan's loss does
   O(n · depth) unit evaluations instead of O(n).
+
+Both are taped.  :func:`taped_forward` is also the reference that the
+level-fused :class:`~repro.core.levels.LevelPlan` is pinned to.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from repro.plans.node import PlanNode
 from repro.plans.operators import LogicalType
 
 from .batching import PlanGraph, StructureGroup, plan_graph
-from .compile import CompiledSchedule, ScheduleCache
 from .config import QPPNetConfig
 from .levels import LevelPlan, LevelPlanCache
 from .unit import NeuralUnit
@@ -47,6 +49,29 @@ class NonFiniteOutput(ArithmeticError):
     :class:`~repro.serving.NonFinitePrediction` subclasses it, so one
     ``except NonFiniteOutput`` (or ``ArithmeticError``) catches both.
     """
+
+
+def taped_forward(
+    graph: PlanGraph,
+    units: Mapping[LogicalType, NeuralUnit],
+    features: Sequence[np.ndarray],
+) -> dict[int, nn.Tensor]:
+    """The taped reference forward of one structure.
+
+    Runs every position of ``graph.postorder`` (children first) through
+    its type's unit with differentiable :class:`~repro.nn.Tensor` ops
+    and returns ``{preorder position -> (B, d+1) output}``.  Under
+    :func:`repro.nn.inference_mode` the same pass records no tape.  The
+    level-fused :class:`~repro.core.levels.LevelPlan` matches it to
+    <= 1e-9 in float64, outputs and every parameter gradient alike.
+    """
+    outputs: dict[int, nn.Tensor] = {}
+    for pos in graph.postorder:
+        unit = units[graph.types[pos]]
+        feats = nn.Tensor(features[pos])
+        children = [outputs[child] for child in graph.children[pos]]
+        outputs[pos] = unit(unit.assemble_input(feats, children))
+    return outputs
 
 
 class QPPNet(nn.Module):
@@ -70,9 +95,6 @@ class QPPNet(nn.Module):
                 activation=self.config.activation,
                 dtype=self.config.np_dtype,
             )
-        # Taped reference schedules, derived once per structure signature
-        # (the taped trainer, the ablation modes and per-plan predict).
-        self.schedules = ScheduleCache()
         # Per-structure level indices behind every batch's level-fused
         # plan (fused trainer engine + whole-batch serving share them).
         self.level_plans = LevelPlanCache()
@@ -87,10 +109,6 @@ class QPPNet(nn.Module):
     # ------------------------------------------------------------------
     # Forward passes
     # ------------------------------------------------------------------
-    def compile_schedule(self, graph: PlanGraph) -> CompiledSchedule:
-        """The (cached) taped reference schedule for ``graph``."""
-        return self.schedules.get(graph, self.units)
-
     def compile_level_plan(
         self, graphs: Sequence[PlanGraph], counts: Sequence[int]
     ) -> LevelPlan:
@@ -107,11 +125,11 @@ class QPPNet(nn.Module):
     def forward_group(self, group: StructureGroup) -> dict[int, nn.Tensor]:
         """Cached bottom-up evaluation of a structure group (§5.1.2).
 
-        Returns ``{preorder position -> (B, d+1) output tensor}``.
-        Executes through the group's :class:`CompiledSchedule` (taped and
-        differentiable; used by the trainer).
+        Returns ``{preorder position -> (B, d+1) output tensor}``,
+        taped and differentiable (:func:`taped_forward`; used by the
+        trainer).
         """
-        return self.compile_schedule(group.graph).run_training(group.features)
+        return taped_forward(group.graph, self.units, group.features)
 
     def forward_subtree_uncached(self, group: StructureGroup, pos: int) -> nn.Tensor:
         """Naive evaluation of one operator's output, recomputing the subtree."""
@@ -138,11 +156,10 @@ class QPPNet(nn.Module):
     def predict_operators(self, plan: PlanNode) -> list[float]:
         """Predicted latency (ms) of every operator, preorder-indexed.
 
-        Runs the taped reference schedule under
-        :func:`repro.nn.inference_mode`, independent of the level-fused
-        executor it is the reference for.
+        Runs :func:`taped_forward` under :func:`repro.nn.inference_mode`,
+        independent of the level-fused executor it is the reference for.
         """
-        schedule = self.compile_schedule(plan_graph(plan))
+        graph = plan_graph(plan)
         # Cast features to the compute dtype up front so the taped
         # matmuls never promote back to float64 on a float32 model.
         dtype = self.config.np_dtype
@@ -151,21 +168,18 @@ class QPPNet(nn.Module):
             for f in self.featurizer.transform_plan(plan)
         ]
         with nn.inference_mode():
-            outputs = schedule.run_training(features)
+            outputs = taped_forward(graph, self.units, features)
         scale = self.featurizer.latency_scale_ms
-        values = [float(outputs[pos].data[0, 0]) * scale for pos in range(schedule.n_nodes)]
+        values = [float(outputs[pos].data[0, 0]) * scale for pos in range(graph.n_nodes)]
         if not np.isfinite(values).all():
             raise NonFiniteOutput(
-                f"non-finite latency from model {self!r} for plan {schedule.signature}"
+                f"non-finite latency from model {self!r} for plan {graph.signature}"
             )
         return [max(MIN_PREDICTION_MS, value) for value in values]
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        nn.save_module(self, path)
-
     def load(self, path: Union[str, os.PathLike]) -> "QPPNet":
         nn.load_module(self, path)
         return self

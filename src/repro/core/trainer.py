@@ -29,7 +29,10 @@ taped):
 
 ``taped`` (reference)
     every forward arithmetic op records a backward closure on the
-    :mod:`repro.nn.tensor` tape and ``loss.backward()`` replays it.  The
+    :mod:`repro.nn.tensor` tape and ``loss.backward()`` replays it.
+    A group runs through :func:`~repro.core.model.taped_forward` (or,
+    in the uncached modes, recomputes each operator's subtree) over
+    matrices stacked fresh per batch; nothing is kept per structure.  The
     three ablation modes — ``naive``, ``batching``, ``info_sharing`` —
     *always* run taped, because their deliberately redundant computation
     is the quantity Figure 9a measures.
@@ -105,9 +108,9 @@ class TrainingHistory:
 
 def _singleton(plan: VectorizedPlan, dtype: np.dtype) -> StructureGroup:
     # Cast to the compute dtype here (a no-copy pass-through for the
-    # float64 default): per-plan ablation modes bypass the stacking pool
-    # that casts for the batched modes, and a float32 model must not
-    # silently promote its taped forward back to float64.
+    # float64 default), as group_by_structure does for the batched
+    # modes: a float32 model must not silently promote its taped
+    # forward back to float64.
     return StructureGroup(
         plan.graph,
         [np.asarray(f, dtype=dtype).reshape(1, -1) for f in plan.features],
@@ -127,12 +130,9 @@ class Trainer:
             lr=self.config.lr,
             momentum=self.config.momentum,
         )
-        # Feature/label stacking buffers, reused batch to batch (safe:
-        # each batch's graph is consumed by backward() before the next
-        # batch is assembled).  Capped so corpora with very many distinct
-        # structures do not pin one buffer per (signature, position).
-        # Allocated in the compute dtype: float64 per-plan rows cast on
-        # write, so batch matrices enter the engines in-model precision.
+        # The fused engine's gather buffers (one per unit type, plus the
+        # labels), reused batch to batch: each batch is consumed by
+        # backward() before the next one is taken.
         self._stack_pool = BufferPool(max_entries=4096, dtype=self.config.np_dtype)
         # Flat parameter/gradient storage for the fused engine, created
         # on first fused fit (rebinds param.data to views).
@@ -159,25 +159,14 @@ class Trainer:
     # ------------------------------------------------------------------
     # Loss assembly
     # ------------------------------------------------------------------
-    def _group_sse_cached(self, group: StructureGroup) -> nn.Tensor:
-        """Sum of squared per-operator errors with subtree caching."""
-        outputs = self.model.forward_group(group)
+    def _group_sse(self, group: StructureGroup, cached: bool) -> nn.Tensor:
+        """Sum of squared per-operator errors of one group: from one
+        bottom-up pass with subtree caching, or recomputing each
+        operator's subtree for its own term."""
+        outputs = self.model.forward_group(group) if cached else None
         terms = []
         for pos in range(group.graph.n_nodes):
-            pred = outputs[pos][:, :1]
-            target = nn.Tensor(group.labels[:, pos : pos + 1])
-            diff = pred - target
-            terms.append((diff * diff).sum())
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return total
-
-    def _group_sse_uncached(self, group: StructureGroup) -> nn.Tensor:
-        """Sum of squared errors, recomputing each operator's subtree."""
-        terms = []
-        for pos in range(group.graph.n_nodes):
-            out = self.model.forward_subtree_uncached(group, pos)
+            out = outputs[pos] if cached else self.model.forward_subtree_uncached(group, pos)
             pred = out[:, :1]
             target = nn.Tensor(group.labels[:, pos : pos + 1])
             diff = pred - target
@@ -191,18 +180,14 @@ class Trainer:
         """Eq. 7 over one random batch, honouring the configured mode."""
         mode = self.config.mode
         if mode in ("both", "batching"):
-            groups = group_by_structure(batch, pool=self._stack_pool)
+            groups = group_by_structure(batch, self.config.np_dtype)
         else:  # per-plan processing
             groups = [_singleton(plan, self.config.np_dtype) for plan in batch]
-        sse_fn = (
-            self._group_sse_cached
-            if mode in ("both", "info_sharing")
-            else self._group_sse_uncached
-        )
+        cached = mode in ("both", "info_sharing")
         total_ops = sum(g.n_operators for g in groups)
-        total = sse_fn(groups[0])
+        total = self._group_sse(groups[0], cached)
         for group in groups[1:]:
-            total = total + sse_fn(group)
+            total = total + self._group_sse(group, cached)
         mse = total * (1.0 / max(1, total_ops))
         if self.config.loss == "rmse":
             return F.sqrt(mse + 1e-12)

@@ -16,7 +16,7 @@ mean/std rows, every one-hot's ``category -> absolute column`` dict, the
 boolean columns — so featurizing a whole structure bucket is a handful of
 vectorized column assignments plus one fancy-index scatter for all hot
 one-hot cells.  :meth:`Featurizer.compiled` hands out the shared
-:class:`FeatureProgramCache` (programs + per-signature layouts + plan
+:class:`FeatureProgramCache` (programs, per-structure layouts and plan
 identity digests); :class:`FeatureVectorCache` adds a bounded LRU from
 plan identity to finished feature rows, so the heavily templated
 workloads production serving sees skip featurization entirely on repeat

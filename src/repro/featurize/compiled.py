@@ -5,8 +5,7 @@ schema per node: Python attribute lookups, per-property ``dict.get``
 calls, one tiny numpy array per encoder.  That is fine for building a
 training corpus once, but it dominates the serving path now that the
 fused execution engine runs the actual matmuls in a fraction of the
-time.  This module compiles the walk away, exactly like
-:mod:`repro.core.compile` compiled the plan interpreter away:
+time.  This module compiles the walk away:
 
 * :class:`FeatureProgram` — per logical type, the fully *resolved*
   column layout of ``F(op)``: which properties feed the scalar-numeric
@@ -22,9 +21,11 @@ time.  This module compiles the walk away, exactly like
   ``tests/featurize/test_compiled.py``).
 
 * :class:`FeatureProgramCache` — lazily compiled programs bound to one
-  fitted featurizer, plus the per-structure-signature *layout* (which
-  preorder positions share which program) and the per-plan identity
-  digest both serving and training key on.
+  fitted featurizer, plus a structure's *layout* (which preorder
+  positions share which program, computed per call: the serving
+  session's structure memo and a fit's pre-grouping each keep the
+  layouts they reuse) and the per-plan identity digest both serving and
+  training key on.
 
 * :class:`FeatureVectorCache` — a bounded LRU from plan identity
   (structure signature + the hashed tuple of every property the
@@ -58,10 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.plans.node import PlanNode
 
     from .featurizer import Featurizer
-
-#: Default bound on distinct layouts retained per program cache (ad-hoc
-#: workloads with unbounded distinct structures must not grow it).
-MAX_CACHED_LAYOUTS = 1024
 
 
 class FeatureProgram:
@@ -339,32 +336,23 @@ def _identity_parts(
 class FeatureProgramCache:
     """Per-type :class:`FeatureProgram` instances bound to one fitted fit.
 
-    Also resolves per-structure-signature *layouts* — which preorder
-    positions of a :class:`~repro.core.batching.PlanGraph` share which
-    program — and the per-plan identity digest.  Layouts are LRU-bounded
-    so ad-hoc workloads with unbounded distinct structures cannot grow
-    the cache without limit (programs themselves are bounded by the
-    operator vocabulary).
+    Also resolves a structure's *layout* — which preorder positions of a
+    :class:`~repro.core.batching.PlanGraph` share which program — and the
+    per-plan identity digest.  Programs are bounded by the operator
+    vocabulary, so nothing is evicted; layouts are not kept at all.
     """
 
-    def __init__(
-        self, featurizer: "Featurizer", max_layouts: int = MAX_CACHED_LAYOUTS
-    ) -> None:
-        if max_layouts <= 0:
-            raise ValueError("max_layouts must be positive")
+    def __init__(self, featurizer: "Featurizer") -> None:
         self.featurizer = featurizer
-        self.max_layouts = max_layouts
         self._programs: dict[LogicalType, FeatureProgram] = {}
-        # signature -> ((program, preorder positions), ...)
-        self._layouts: OrderedDict[
-            str, tuple[tuple[FeatureProgram, tuple[int, ...]], ...]
-        ] = OrderedDict()
 
     def program(self, ltype: LogicalType) -> FeatureProgram:
         """The compiled program for ``ltype`` (compiled on first use)."""
         program = self._programs.get(ltype)
         if program is None:
-            program = self._programs[ltype] = FeatureProgram(self.featurizer, ltype)
+            # setdefault: threads compiling one type at once (the drain
+            # thread and a retrain's pre-grouping) all get the winner.
+            program = self._programs.setdefault(ltype, FeatureProgram(self.featurizer, ltype))
         return program
 
     def layout(self, graph: "PlanGraph") -> tuple[tuple[FeatureProgram, tuple[int, ...]], ...]:
@@ -372,36 +360,16 @@ class FeatureProgramCache:
 
         Preserves first-appearance type order, matching the grouping the
         serving session has always used, so every position's rows land at
-        the same offsets as before.
-
-        Lock-free: the serving drain thread and a lifecycle retrain's
-        pre-grouping share this cache (one featurizer), and another
-        thread may evict an entry between this lookup and its LRU bump,
-        or empty the table under the eviction loop.  Neither raises: a
-        layout is an immutable tuple, and a lost bump costs a recompute.
+        the same offsets as before.  Computed on every call; a caller
+        that reuses a structure keeps its layout.
         """
-        layouts = self._layouts
-        layout = layouts.get(graph.signature)
-        if layout is not None:
-            try:
-                layouts.move_to_end(graph.signature)
-            except KeyError:  # evicted by another thread since the lookup
-                pass
-            return layout
         positions_by_type: dict[LogicalType, list[int]] = {}
         for pos, ltype in enumerate(graph.types):
             positions_by_type.setdefault(ltype, []).append(pos)
-        layout = tuple(
+        return tuple(
             (self.program(ltype), tuple(positions))
             for ltype, positions in positions_by_type.items()
         )
-        layouts[graph.signature] = layout
-        while len(layouts) > self.max_layouts:
-            try:
-                layouts.popitem(last=False)
-            except KeyError:  # emptied by another thread since the check
-                break
-        return layout
 
     def digest(self, graph: "PlanGraph", nodes: Sequence["PlanNode"]) -> tuple:
         """Plan-identity key: ``(signature, per-node identity tuples)``.

@@ -50,7 +50,6 @@ class Featurizer:
         self._whiteners: dict[LogicalType, NumericWhitener] = {}
         self._onehots: dict[tuple[LogicalType, str], OneHotEncoder] = {}
         self._fitted = False
-        self._size_cache: dict[LogicalType, int] = {}
         self._extra_numeric_fn = extra_numeric_fn
         # Width of the extra_numeric_fn block, fixed at fit() (or restored
         # by deserialization) — never mutated on the transform hot path.
@@ -79,7 +78,6 @@ class Featurizer:
                 "featurizer was fitted with)"
             )
         self._extra_numeric_fn = fn
-        self._size_cache.clear()
         self._compiled = None
 
     # ------------------------------------------------------------------
@@ -123,7 +121,6 @@ class Featurizer:
             self._whiteners[ltype] = whitener
         if latencies:
             self.latency_scale_ms = float(max(1e-6, np.mean(latencies)))
-        self._size_cache.clear()
         self._compiled = None  # programs bind fitted state; recompile lazily
         self._fitted = True
         return self
@@ -329,9 +326,6 @@ class Featurizer:
         """Input-vector width for one operator type's neural unit."""
         if not self._fitted:
             raise RuntimeError("featurizer is not fitted")
-        cached = self._size_cache.get(ltype)
-        if cached is not None:
-            return cached
         schema = FEATURE_SCHEMAS[ltype]
         size = len(schema.numeric_log) + len(schema.numeric_raw) + self._n_extra
         size += sum(length for _, length in schema.vectors)
@@ -342,7 +336,6 @@ class Featurizer:
         size += len(schema.booleans)
         if schema.physical_ops:
             size += self._onehots[(ltype, "__physical__")].size
-        self._size_cache[ltype] = size
         return size
 
     def feature_sizes(self) -> dict[LogicalType, int]:

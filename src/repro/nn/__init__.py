@@ -37,7 +37,7 @@ from .gradcheck import check_gradients, numerical_gradient
 from .layers import Lambda, Linear, Module, ReLU, Sequential, Sigmoid, Tanh, mlp
 from .loss import LOSSES, huber_loss, l1_loss, mse_loss, rmse_loss
 from .optim import SGD, Adam, FlatParameterSpace, Optimizer, StepLR, make_optimizer
-from .serialize import load_module, save_module
+from .serialize import load_module
 from .tensor import Tensor, inference_mode, is_inference_mode, ones, tensor, zeros
 
 __all__ = [
@@ -69,6 +69,5 @@ __all__ = [
     "LOSSES",
     "check_gradients",
     "numerical_gradient",
-    "save_module",
     "load_module",
 ]

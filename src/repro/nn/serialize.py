@@ -1,8 +1,9 @@
-"""Parameter persistence for :class:`repro.nn.layers.Module`.
+"""Parameter loading for :class:`repro.nn.layers.Module`.
 
-Stores a module's state dict in a single ``.npz`` archive so trained
-QPP Net models (and baselines that reuse the substrate) can be saved and
-reloaded without pickling arbitrary objects.
+Reads a module's state dict from a single ``.npz`` archive without
+unpickling arbitrary objects.  Trained QPP Net models are written
+durably by :func:`repro.core.bundle.save_bundle`, and
+:func:`~repro.core.bundle.load_bundle` reads their weights through here.
 """
 
 from __future__ import annotations
@@ -17,16 +18,8 @@ from .layers import Module
 PathLike = Union[str, "os.PathLike[str]"]
 
 
-def save_module(module: Module, path: PathLike) -> None:
-    """Write ``module``'s parameters to ``path`` (``.npz``)."""
-    state = module.state_dict()
-    if not state:
-        raise ValueError("module has no parameters to save")
-    np.savez(path, **state)
-
-
 def load_module(module: Module, path: PathLike) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module`` in place."""
+    """Load a ``.npz`` of ``module.state_dict()`` arrays into ``module`` in place."""
     with np.load(path) as archive:
         state = {key: archive[key] for key in archive.files}
     module.load_state_dict(state)

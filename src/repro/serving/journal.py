@@ -236,9 +236,10 @@ class OutcomeJournal:
             return True
 
     def sync(self) -> bool:
-        """Force the batched fsync now; ``True`` when durable."""
+        """Force the batched fsync now; ``True`` when durable.  Nothing
+        appended since the last fsync means nothing to fsync."""
         with self._lock:
-            if self._handle is None:
+            if self._handle is None or not self._unsynced:
                 return True
             try:
                 self._fsync_locked()
@@ -343,6 +344,10 @@ class OutcomeJournal:
                     self._handle = durable.open_append(live[-1])
                     self._path = live[-1]
                     self._size = live[-1].stat().st_size
+                    # The dead process's unsynced tail, or the torn-tail
+                    # truncation, may not be durable yet: the first sync
+                    # (or rotation) must fsync the reopened segment.
+                    self._unsynced = 1
                 except OSError:
                     self.io_errors += 1
                     self._close_locked()

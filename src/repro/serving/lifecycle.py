@@ -689,8 +689,8 @@ class LifecycleManager:
                 epoch_hook=cfg.epoch_hook,
             )
             session = InferenceSession(candidate)
-            # Pre-warm: compile schedules / level plans and fill the
-            # feature cache on recent observed plans, so the first
+            # Pre-warm: resolve structures, compile level plans and fill
+            # the feature cache on recent observed plans, so the first
             # shadowed (and first post-promotion) batch pays nothing.
             warm = [s.plan for s in samples[-64:]]
             if warm:
@@ -876,10 +876,12 @@ class LifecycleManager:
         """One lifecycle tick: poll outcomes, advance the state machine.
 
         ``live`` + drift trigger (+ enough data, past cooldown) →
-        retrain and deploy the shadow; ``shadow`` + enough evidence →
-        promote (or demote on a failed gate); ``promoted`` → roll back
-        on a fresh trigger, settle to ``live`` once stabilized;
-        ``demoted`` → back to ``live`` after the cooldown.
+        retrain and deploy the shadow; ``retraining`` (a recovered
+        manager whose process died mid-retrain) → resume the retrain
+        from its checkpoints and deploy the shadow; ``shadow`` + enough
+        evidence → promote (or demote on a failed gate); ``promoted`` →
+        roll back on a fresh trigger, settle to ``live`` once
+        stabilized; ``demoted`` → back to ``live`` after the cooldown.
         """
         with self._lock:
             report = self.poll()
@@ -893,6 +895,10 @@ class LifecycleManager:
                 ):
                     self.retrain()
                     self.deploy_shadow()
+            elif state == LifecycleState.RETRAINING:
+                if self._candidate is None:
+                    self.retrain()
+                self.deploy_shadow()
             elif state == LifecycleState.SHADOW:
                 shadow = self.shadow_report()
                 if (

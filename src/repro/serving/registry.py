@@ -5,7 +5,8 @@ TPC-DS), shadow candidates, per-hardware variants.  The registry maps
 names to models — registered in-memory or loaded from
 :func:`~repro.core.bundle.save_bundle` directories — and hands out one
 long-lived :class:`~repro.serving.session.InferenceSession` per model so
-every caller shares the warmed schedule cache and stacking buffers.
+every caller shares the warmed structure memo, feature cache and
+stacking buffers.
 
 The registry is also the routing table of
 :class:`~repro.serving.service.PredictionService`: the service resolves

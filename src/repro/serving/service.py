@@ -418,9 +418,18 @@ class OutcomeLog:
         seq`` oldest first, plus how many records after ``seq`` were
         already evicted before this call.  ``dropped`` is the gap a
         lagging consumer must account for (e.g. the lifecycle poller's
-        ``outcomes_lost`` counter); ``0`` means a complete read."""
+        ``outcomes_lost`` counter); ``0`` means a complete read.
+
+        Retained records are in increasing ``seq`` order (appends number
+        them under the lock, and :meth:`restore` adopts replay order), so
+        the scan walks back from the newest and stops at ``seq``."""
         with self._lock:
-            records = [rec for rec in self._records if rec.seq > seq]
+            records = []
+            for rec in reversed(self._records):
+                if rec.seq <= seq:
+                    break
+                records.append(rec)
+            records.reverse()
             evicted = self._total - len(self._records)
             dropped = max(0, evicted - max(seq, 0))
         return records, dropped

@@ -8,7 +8,8 @@ batches of a template workload.  Nothing is kept per structure *mix*:
 a fused batch's :class:`~repro.core.levels.LevelPlan` is compiled with
 numpy on every call and dropped with it.  What is kept is per
 structure: its one-plan level plan, memoized beside the structure's
-graph under the same bound (:attr:`InferenceSession.MAX_STRUCTURES`).
+graph and feature layout under the same bound
+(:attr:`InferenceSession.MAX_STRUCTURES`).
 
 Two paths, one fast and one reference:
 
@@ -26,8 +27,8 @@ Two paths, one fast and one reference:
   per tree depth.  Every session entry point runs through this path;
   ``predict`` is a batch of one;
 * **taped** (reference) — :meth:`~repro.core.model.QPPNet.predict`
-  runs one plan through the model's taped schedule, sharing none of
-  the session's caches, buffers or level plans.
+  runs one plan through :func:`~repro.core.model.taped_forward`,
+  sharing none of the session's caches, buffers or level plans.
 
 Batch-composition contract: a plan's served value depends on its
 batch-mates, but only through floating-point rounding (BLAS may sum a
@@ -98,11 +99,12 @@ class InferenceSession:
     MAX_POOLED_BUFFERS = 1024
 
     #: Bound on the memoized structure table (preorder ``(op, arity)``
-    #: walk -> compiled :class:`PlanGraph`, plus its one-plan
-    #: :class:`LevelPlan` once a plan-by-plan batch has used it), which
-    #: lets repeat structures skip the per-plan signature-string walk on
-    #: the hot path, and small batches skip their compile.  FIFO
-    #: eviction: the table is tiny and rebuilt on demand.
+    #: walk -> compiled :class:`PlanGraph` and its feature layout, plus
+    #: its one-plan :class:`LevelPlan` once a plan-by-plan batch has used
+    #: it), which lets repeat structures skip the per-plan
+    #: signature-string walk and layout on the hot path, and small
+    #: batches skip their compile.  FIFO eviction: the table is tiny and
+    #: rebuilt on demand.
     MAX_STRUCTURES = 1024
 
     #: Batches of at most this many plans run plan by plan through the
@@ -126,7 +128,7 @@ class InferenceSession:
         self.dtype = model.config.np_dtype
         self._pool = BufferPool(max_entries=max_pooled_buffers, dtype=self.dtype)
         #: The featurizer's compiled tier (shared across sessions of the
-        #: same model: programs and layouts are read-only after compile).
+        #: same model: programs are read-only after compile).
         self.programs = model.featurizer.compiled()
         #: Bounded LRU from plan identity to finished feature rows, or
         #: ``None`` when caching is disabled.  Per-session (not shared):
@@ -139,7 +141,7 @@ class InferenceSession:
         #: Requests served since construction (monitoring hook).
         self.requests_served = 0
         # Memoized structure resolution (see MAX_STRUCTURES): walk key ->
-        # [graph, one-plan level plan or None].
+        # [graph, layout, one-plan level plan or None].
         self._structures: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
@@ -230,14 +232,16 @@ class InferenceSession:
     def _resolve_plan(self, plan: PlanNode):
         """One preorder walk -> ``(memo entry, preorder node list)``.
 
-        The entry is ``[PlanGraph, one-plan LevelPlan or None]``.  The
-        flat preorder ``(op, arity)`` stream uniquely determines a
-        plan's structure, so it doubles as the memo key: repeat
-        structures (the templated-workload steady state) skip the
+        The entry is ``[PlanGraph, feature layout, one-plan LevelPlan or
+        None]``.  The flat preorder ``(op, arity)`` stream uniquely
+        determines a plan's structure, so it doubles as the memo key:
+        repeat structures (the templated-workload steady state) skip the
         signature-string build and graph extraction of
-        :func:`~repro.core.batching.plan_graph` entirely, and get back
-        the *same* graph object — whose cached signature-string hash
-        also makes the downstream digest/bucket dict lookups cheap.
+        :func:`~repro.core.batching.plan_graph` and the
+        :meth:`~repro.featurize.compiled.FeatureProgramCache.layout`
+        entirely, and get back the *same* graph object — whose cached
+        signature-string hash also makes the downstream digest/bucket
+        dict lookups cheap.
         """
         nodes: list[PlanNode] = []
         key_parts: list = []
@@ -257,11 +261,13 @@ class InferenceSession:
         if entry is None:
             if len(structures) >= self.MAX_STRUCTURES:
                 del structures[next(iter(structures))]
-            entry = structures[key] = [plan_graph(plan), None]
+            graph = plan_graph(plan)
+            entry = structures[key] = [graph, self.programs.layout(graph), None]
         return entry, nodes
 
-    def _bucket(self, plans: Sequence[PlanNode]) -> list[PlanBucket]:
-        """Compose a batch of plans into per-structure buckets.
+    def _bucket(self, plans: Sequence[PlanNode]) -> list[tuple[PlanBucket, tuple]]:
+        """Compose a batch of plans into per-structure buckets, each with
+        its feature layout.
 
         Buckets come in canonical sorted-by-signature order — the order
         :func:`~repro.core.batching.group_by_structure` and
@@ -273,14 +279,14 @@ class InferenceSession:
         physical ops can share a logical signature and must land in one
         bucket, exactly as training groups them.
         """
-        buckets: dict[str, PlanBucket] = {}
+        buckets: dict[str, tuple[PlanBucket, tuple]] = {}
         for index, plan in enumerate(plans):
-            (graph, _), nodes = self._resolve_plan(plan)
-            bucket = buckets.get(graph.signature)
-            if bucket is None:
-                bucket = buckets[graph.signature] = PlanBucket(graph, [], [])
-            bucket.indices.append(index)
-            bucket.nodes.append(nodes)
+            (graph, layout, _), nodes = self._resolve_plan(plan)
+            found = buckets.get(graph.signature)
+            if found is None:
+                found = buckets[graph.signature] = (PlanBucket(graph, [], []), layout)
+            found[0].indices.append(index)
+            found[0].nodes.append(nodes)
         return [buckets[signature] for signature in sorted(buckets)]
 
     # ------------------------------------------------------------------
@@ -313,11 +319,11 @@ class InferenceSession:
         per-call state, and the model's units are bound once, so a memo
         hit runs exactly what a compile would."""
         entry, nodes = self._resolve_plan(plan)
-        graph, level_plan = entry
+        graph, layout, level_plan = entry
         if level_plan is None:
-            level_plan = entry[1] = self.model.compile_level_plan([graph], [1])
-        buckets = [PlanBucket(graph, [index], [nodes])]
-        return buckets, level_plan, self._featurize(buckets, level_plan)
+            level_plan = entry[2] = self.model.compile_level_plan([graph], [1])
+        bucket = PlanBucket(graph, [index], [nodes])
+        return [bucket], level_plan, self._featurize([(bucket, layout)], level_plan)
 
     def _prepare(
         self, plans: Sequence[PlanNode]
@@ -329,14 +335,15 @@ class InferenceSession:
         group_by_structure/PreGroupedCorpus produce, so serving and
         training lay the same structure mix out identically.
         """
-        buckets = self._bucket(plans)
+        bucketed = self._bucket(plans)
+        buckets = [bucket for bucket, _ in bucketed]
         level_plan = self.model.compile_level_plan(
             [b.graph for b in buckets], [len(b.indices) for b in buckets]
         )
-        return buckets, level_plan, self._featurize(buckets, level_plan)
+        return buckets, level_plan, self._featurize(bucketed, level_plan)
 
     def _featurize(
-        self, buckets: Sequence[PlanBucket], level_plan: LevelPlan
+        self, bucketed: Sequence[tuple[PlanBucket, tuple]], level_plan: LevelPlan
     ) -> dict[LogicalType, np.ndarray]:
         """The batch's features: one step-order matrix per unit type.
 
@@ -351,14 +358,13 @@ class InferenceSession:
         step order, into a pooled buffer unless the batch is one plan.
         """
         programs, cache = self.programs, self.feature_cache
-        bucket_layouts = [(b, programs.layout(b.graph)) for b in buckets]
-        layouts = [layout for b, layout in bucket_layouts for _ in b.indices]
-        nodes = [plan_nodes for b in buckets for plan_nodes in b.nodes]
+        layouts = [layout for b, layout in bucketed for _ in b.indices]
+        nodes = [plan_nodes for b, _ in bucketed for plan_nodes in b.nodes]
         if cache is None:
             entries: list[Optional[dict]] = [None] * len(nodes)
         else:
             digests = [
-                d for b, layout in bucket_layouts for d in programs.digests(b.graph, b.nodes, layout)
+                d for b, layout in bucketed for d in programs.digests(b.graph, b.nodes, layout)
             ]
             entries = [cache.get(digest) for digest in digests]
         missed = [m for m, entry in enumerate(entries) if entry is None]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BufferPool,
     QPPNet,
     QPPNetConfig,
     group_by_structure,
@@ -33,9 +32,11 @@ def vectorized(samples):
 
 @pytest.fixture(scope="module")
 def bucket_plans(samples):
-    """The serving tier's bucketing (an untrained model is enough)."""
+    """The serving tier's bucketing (an untrained model is enough),
+    without the feature layout it pairs with each bucket."""
     featurizer = Featurizer().fit([s.plan for s in samples])
-    return InferenceSession(QPPNet(featurizer, QPPNetConfig()))._bucket
+    session = InferenceSession(QPPNet(featurizer, QPPNetConfig()))
+    return lambda plans: [bucket for bucket, _ in session._bucket(plans)]
 
 
 class TestBucketPlans:
@@ -92,23 +93,16 @@ class TestGrouping:
         b = [g.graph.signature for g in group_by_structure(vectorized)]
         assert a == b
 
-    def test_pooled_grouping_matches_vstack(self, vectorized):
-        """Buffer-reuse stacking is value-identical to fresh np.vstack."""
-        pool = BufferPool()
-        fresh = group_by_structure(vectorized)
-        pooled = group_by_structure(vectorized, pool=pool)
-        for a, b in zip(fresh, pooled):
-            assert a.graph.signature == b.graph.signature
-            assert np.array_equal(a.labels, b.labels)
+    def test_stacking_dtype_rounds_like_a_cast(self, vectorized):
+        """Stacking in float32 equals stacking in float64 and casting."""
+        wide = group_by_structure(vectorized)
+        narrow = group_by_structure(vectorized, np.float32)
+        for a, b in zip(wide, narrow):
+            assert b.labels.dtype == np.float32
+            assert np.array_equal(a.labels.astype(np.float32), b.labels)
             for pos in range(a.graph.n_nodes):
-                assert np.array_equal(a.features[pos], b.features[pos])
-        # Second pooled call reuses the same backing buffers.
-        again = group_by_structure(vectorized, pool=pool)
-        for b, c in zip(pooled, again):
-            for pos in range(b.graph.n_nodes):
-                assert c.features[pos].base is b.features[pos].base or (
-                    c.features[pos] is b.features[pos]
-                )
+                assert b.features[pos].dtype == np.float32
+                assert np.array_equal(a.features[pos].astype(np.float32), b.features[pos])
 
 
 class TestPreGroupedFromSamples:

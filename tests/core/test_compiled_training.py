@@ -13,7 +13,6 @@ import pytest
 from repro import nn
 from repro.core import (
     BufferPool,
-    CompiledSchedule,
     CorpusBatch,
     LevelPlan,
     PlanGraph,
@@ -23,6 +22,7 @@ from repro.core import (
     StructureGroup,
     Trainer,
     group_by_structure,
+    taped_forward,
     vectorize_corpus,
 )
 from repro.core.unit import NeuralUnit
@@ -294,16 +294,16 @@ class TestRandomStructureEquivalence:
         labels = [rng.standard_normal((b, g.n_nodes)) for g, b in zip(graphs, counts)]
         total_ops = sum(b * g.n_nodes for g, b in zip(graphs, counts))
 
-        # Taped reference: per-group schedules, autodiff backward, the
+        # Taped reference: per-group taped_forward, autodiff backward, the
         # trainer's mse objective.
         for unit in units.values():
             unit.zero_grad()
         total = None
-        taped_forward = {}
+        taped_outputs = {}
         for gi, (graph, feats, labs) in enumerate(zip(graphs, features, labels)):
-            outputs = CompiledSchedule(graph, units).run_training(feats)
+            outputs = taped_forward(graph, units, feats)
             for pos in range(graph.n_nodes):
-                taped_forward[(gi, pos)] = outputs[pos].data.copy()
+                taped_outputs[(gi, pos)] = outputs[pos].data.copy()
                 diff = outputs[pos][:, :1] - nn.Tensor(labs[:, pos : pos + 1])
                 term = (diff * diff).sum()
                 total = term if total is None else total + term
@@ -335,7 +335,7 @@ class TestRandomStructureEquivalence:
         for gi, graph in enumerate(graphs):
             for pos in range(graph.n_nodes):
                 fused_out = run.out[plan.node_rows(gi, pos)]
-                assert np.max(np.abs(fused_out - taped_forward[(gi, pos)])) <= GRAD_TOL
+                assert np.max(np.abs(fused_out - taped_outputs[(gi, pos)])) <= GRAD_TOL
         worst = max(
             float(np.max(np.abs(taped_grads[(lt, name)] - (
                 p.grad if p.grad is not None else np.zeros_like(p.data)

@@ -3,8 +3,8 @@
 Structural properties of the compiler (one step per unit type per tree
 depth, contiguous output blocks, child index arrays, per-structure
 memoization), equivalence of the fused forward with the per-group
-schedules, and the LRU bounds on the structure cache and serving
-buffers.
+taped reference forward, and the LRU bounds on the structure cache and
+serving buffers.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.core import (
     QPPNet,
     QPPNetConfig,
     group_by_structure,
+    taped_forward,
     vectorize_corpus,
 )
 from repro.featurize import Featurizer
@@ -169,11 +170,11 @@ class TestCompiler:
 class TestFusedForwardEquivalence:
     def test_matches_per_group_schedules(self, model, groups):
         """The fused whole-batch forward equals running every group through
-        its own compiled schedule (taped), position by position."""
+        the taped reference forward, position by position."""
         plan = _plan(model, groups)
         run = plan.forward_inference(plan.stack_positions([g.features for g in groups]))
         for gi, group in enumerate(groups):
-            reference = model.compile_schedule(group.graph).run_training(group.features)
+            reference = taped_forward(group.graph, model.units, group.features)
             for pos in range(group.graph.n_nodes):
                 fused = run.out[plan.node_rows(gi, pos)]
                 assert np.max(np.abs(fused - reference[pos].data)) <= 1e-9

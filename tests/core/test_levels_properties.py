@@ -4,7 +4,7 @@ Hypothesis draws random structure mixes — repeated structures, zero-count
 groups, single-node plans, nodes with fewer children than their type's
 arity — and random unit shapes.  The fused forward outputs and every
 parameter gradient of the Eq. 7 loss must match the taped autodiff
-(per-structure ``CompiledSchedule.run_training``) to <= 1e-9 in float64;
+(per-structure ``taped_forward``) to <= 1e-9 in float64;
 a float32 plan must track the float64 reference within the float32
 contract (<= 1e-4 relative on outputs).
 """
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core import CompiledSchedule, LevelPlan, PlanGraph
+from repro.core import LevelPlan, PlanGraph, taped_forward
 from repro.core.unit import NeuralUnit
 from repro.plans.operators import LogicalType, arity_of
 
@@ -106,7 +106,7 @@ def taped(graphs, counts, units, features, labels):
     for gi, (graph, b) in enumerate(zip(graphs, counts)):
         if not b:
             continue
-        out = CompiledSchedule(graph, units).run_training(features[gi])
+        out = taped_forward(graph, units, features[gi])
         for pos in range(graph.n_nodes):
             outputs[(gi, pos)] = out[pos].data.copy()
             diff = out[pos][:, :1] - nn.Tensor(labels[gi][:, pos : pos + 1])

@@ -129,7 +129,7 @@ class TestQPPNet:
 
     def test_save_load_roundtrip(self, model, corpus, tmp_path):
         path = tmp_path / "qpp.npz"
-        model.save(path)
+        np.savez(path, **model.state_dict())
         clone = QPPNet(model.featurizer, model.config)
         clone.load(path)
         plan = corpus[0].plan

@@ -11,7 +11,8 @@ feature-vector cache must behave as a bounded LRU whose hits are
 byte-for-byte the rows a miss would compute.
 """
 
-from collections import OrderedDict
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -237,45 +238,32 @@ class TestFeatureProgramCache:
         for program, positions in layout:
             assert all(graph.types[pos] == program.ltype for pos in positions)
 
-    def test_layout_lru_bound(self, fitted):
-        featurizer, corpus = fitted
-        programs = FeatureProgramCache(featurizer, max_layouts=2)
-        graphs = []
-        for sample in corpus:
-            graph = plan_graph(sample.plan)
-            if all(graph.signature != g.signature for g in graphs):
-                graphs.append(graph)
-            if len(graphs) == 3:
-                break
-        for graph in graphs:
-            programs.layout(graph)
-        assert len(programs._layouts) == 2
-        assert graphs[0].signature not in programs._layouts  # oldest evicted
-
-    def test_concurrent_eviction_after_lookup_does_not_raise(self, fitted):
-        """Two threads share the cache (the drain thread and a retrain's
-        pre-grouping): one's insert may evict the layout the other just
-        looked up, before its LRU bump.  A table whose ``get`` evicts the
-        key it returns makes that interleaving deterministic."""
-
-        class EvictOnGet(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                self.pop(key, None)
-                return value
-
-        featurizer, corpus = fitted
-        programs = FeatureProgramCache(featurizer)
-        graph = plan_graph(corpus[0].plan)
-        layout = programs.layout(graph)
-        programs._layouts = EvictOnGet(programs._layouts)
-        assert programs.layout(graph) is layout
-        assert programs.layout(graph) == layout  # rebuilt after the eviction
-
-    def test_invalid_max_layouts(self, fitted):
+    def test_concurrent_compiles_share_one_program(self, fitted):
+        """The drain thread and a retrain's pre-grouping share one cache:
+        threads compiling the same type at once must all get the same
+        program, or a batch would group one type's nodes under two."""
         featurizer, _ = fitted
-        with pytest.raises(ValueError):
-            FeatureProgramCache(featurizer, max_layouts=0)
+        programs = FeatureProgramCache(featurizer)
+        barrier = threading.Barrier(8)
+        got = []
+
+        def compile_scan():
+            barrier.wait(timeout=10)
+            got.append(programs.program(LogicalType.SCAN))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_scan) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8
+        assert all(program is programs.program(LogicalType.SCAN) for program in got)
 
     def test_refit_invalidates_compiled_tier(self, fitted):
         _, corpus = fitted

@@ -16,7 +16,6 @@ from repro.nn import (
     Tensor,
     load_module,
     mlp,
-    save_module,
 )
 
 
@@ -139,7 +138,7 @@ class TestSerializeDtype:
     def test_npz_round_trip_preserves_dtype_bitwise(self, tmp_path, dtype):
         net = mlp(3, [4], 2, rng=np.random.default_rng(10), dtype=dtype)
         path = tmp_path / "net.npz"
-        save_module(net, path)
+        np.savez(path, **net.state_dict())
         clone = mlp(3, [4], 2, rng=np.random.default_rng(11), dtype=dtype)
         load_module(clone, path)
         for (_, a), (_, b) in zip(clone.named_parameters(), net.named_parameters()):
@@ -151,7 +150,7 @@ class TestSerializeDtype:
         float64) — checkpoints are portable across precision tiers."""
         f32 = mlp(3, [4], 2, rng=np.random.default_rng(12), dtype=np.float32)
         path = tmp_path / "f32.npz"
-        save_module(f32, path)
+        np.savez(path, **f32.state_dict())
         f64 = mlp(3, [4], 2, rng=np.random.default_rng(13))
         load_module(f64, path)
         for (_, a), (_, b) in zip(f64.named_parameters(), f32.named_parameters()):

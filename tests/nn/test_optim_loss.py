@@ -15,7 +15,6 @@ from repro.nn import (
     mlp,
     mse_loss,
     rmse_loss,
-    save_module,
 )
 
 
@@ -164,17 +163,11 @@ class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         net = mlp(4, [8], 2, rng=np.random.default_rng(3))
         path = tmp_path / "model.npz"
-        save_module(net, path)
+        np.savez(path, **net.state_dict())
         net2 = mlp(4, [8], 2, rng=np.random.default_rng(99))
         load_module(net2, path)
         x = Tensor(np.ones((1, 4)))
         assert np.allclose(net(x).data, net2(x).data)
-
-    def test_save_empty_module_raises(self, tmp_path):
-        from repro.nn import ReLU
-
-        with pytest.raises(ValueError):
-            save_module(ReLU(), tmp_path / "empty.npz")
 
 
 class TestEndToEndTraining:

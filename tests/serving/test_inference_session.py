@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import QPPNet, QPPNetConfig, Trainer, plan_graph, save_bundle
+from repro.core import QPPNet, QPPNetConfig, Trainer, save_bundle
 from repro.featurize import Featurizer
 from repro.serving import InferenceSession, ModelRegistry
 from repro.workload import Workbench
@@ -30,6 +30,22 @@ def model(corpus):
 @pytest.fixture()
 def session(model):
     return InferenceSession(model)
+
+
+@pytest.fixture()
+def taped_calls(monkeypatch):
+    """Records the structure of every run of the taped reference forward."""
+    import repro.core.model as model_module
+
+    calls = []
+    real = model_module.taped_forward
+
+    def spy(graph, units, features):
+        calls.append(graph.signature)
+        return real(graph, units, features)
+
+    monkeypatch.setattr(model_module, "taped_forward", spy)
+    return calls
 
 
 class TestBatchAgreement:
@@ -65,16 +81,15 @@ class TestBatchAgreement:
         assert session.predict_batch([]).shape == (0,)
         assert session.predict_operators_batch([]) == []
 
-    def test_empty_batch_never_touches_compile_caches(self, model):
+    def test_empty_batch_never_touches_compile_caches(self, model, taped_calls):
         """The empty fast path must not compile, cache or pool anything —
         the coalescing service can legitimately drain nothing."""
-        model.schedules.clear()
         model.level_plans.clear()
         session = InferenceSession(model)
         assert session.predict_batch([]).shape == (0,)
         assert session.predict_operators_batch([]) == []
         assert model.level_plans.hits == model.level_plans.misses == 0
-        assert model.schedules.hits == model.schedules.misses == 0
+        assert taped_calls == []
         assert len(session._pool) == 0
 
     def test_repeated_calls_are_stable(self, session, corpus):
@@ -190,14 +205,12 @@ class TestFeatureCache:
         assert stats.feature_cache_entries == 2
 
     def test_each_bucket_resolves_its_layout_once(self, model, corpus, monkeypatch):
-        """Featurization resolves a bucket's layout once and uses it for
-        both the identity digests and the feature programs: one lookup
-        per plan in batches of one, one per structure in a fused batch."""
+        """A structure's layout is resolved once per session, on its
+        structure-memo miss, and serves both the identity digests and the
+        feature programs: warm batches, of one plan or fused, resolve
+        none."""
         from repro.featurize.compiled import FeatureProgramCache
 
-        plans = [s.plan for s in corpus]
-        session = InferenceSession(model)
-        session.predict_batch(plans)  # warm: programs, layouts and cache
         calls = []
         real = FeatureProgramCache.layout
 
@@ -206,12 +219,16 @@ class TestFeatureCache:
             return real(self, graph)
 
         monkeypatch.setattr(FeatureProgramCache, "layout", layout)
+        plans = [s.plan for s in corpus]
+        walks = {tuple((n.op, len(n.children)) for n in p.preorder()) for p in plans}
+        session = InferenceSession(model)
+        session.predict_batch(plans)
+        assert len(calls) == len(walks) == len(session._structures)
+        calls.clear()
         for plan in plans:
             session.predict_batch([plan])
-        assert len(calls) == len(plans)
-        calls.clear()
         session.predict_batch(plans)
-        assert len(calls) == len({plan_graph(p).signature for p in plans})
+        assert calls == []
 
     def test_stats_snapshot(self, model, corpus):
         session = InferenceSession(model)
@@ -223,22 +240,8 @@ class TestFeatureCache:
         assert stats.feature_cache_hits + stats.feature_cache_misses > 0
 
 
-class TestScheduleCache:
-    def test_same_structure_returns_same_schedule_object(self, model, corpus):
-        by_signature = {}
-        for sample in corpus:
-            by_signature.setdefault(sample.plan.structure_signature(), []).append(
-                sample.plan
-            )
-        signature, twins = max(by_signature.items(), key=lambda kv: len(kv[1]))
-        assert len(twins) >= 2, "corpus should repeat structures"
-        first = model.compile_schedule(plan_graph(twins[0]))
-        second = model.compile_schedule(plan_graph(twins[1]))
-        assert first is second
-        assert first.signature == signature
-
-    def test_cache_hit_statistics(self, model, corpus):
-        model.schedules.clear()
+class TestLevelPlanCache:
+    def test_cache_hit_statistics(self, model, corpus, taped_calls):
         model.level_plans.clear()
         session = InferenceSession(model)
         plans = [s.plan for s in corpus]
@@ -255,25 +258,7 @@ class TestScheduleCache:
         session.predict(plans[0])
         session.predict(plans[0])
         assert model.level_plans.misses == len(structures)
-        assert model.schedules.hits == model.schedules.misses == 0
-
-    def test_lru_eviction(self, model, corpus):
-        from repro.core import ScheduleCache
-
-        cache = ScheduleCache(maxsize=2)
-        graphs = []
-        for sample in corpus:
-            graph = plan_graph(sample.plan)
-            if graph.signature not in {g.signature for g in graphs}:
-                graphs.append(graph)
-            if len(graphs) == 3:
-                break
-        assert len(graphs) == 3
-        a = cache.get(graphs[0], model.units)
-        cache.get(graphs[1], model.units)
-        cache.get(graphs[2], model.units)  # evicts graphs[0]
-        assert len(cache) == 2
-        assert cache.get(graphs[0], model.units) is not a  # recompiled
+        assert taped_calls == []
 
 
 def structure_twins(plans):

@@ -68,6 +68,15 @@ def fill(journal, plans, n, start_seq=1):
     return records
 
 
+def replay_and_close(directory, **kwargs):
+    """Recover a journal directory, then release the append handle that
+    ``recover()`` opens on its last segment."""
+    journal = OutcomeJournal(directory, **kwargs)
+    replay = journal.recover()
+    journal.close()
+    return replay
+
+
 def assert_records_equal(replayed, originals):
     assert len(replayed) == len(originals)
     for got, ref in zip(replayed, originals):
@@ -160,7 +169,7 @@ class TestAppendRecover:
         journal = OutcomeJournal(tmp_path, fsync_every=1)
         records = fill(journal, plans, 12)
         journal.close()
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert replay.clean
         assert replay.max_seq == 12
         assert_records_equal(replay.records, records)
@@ -174,7 +183,7 @@ class TestAppendRecover:
         firsts = [int(p.name[len("segment-"):-len(".wal")]) for p in segments]
         assert firsts == sorted(firsts) and firsts[0] == 1
         journal.close()
-        replay = OutcomeJournal(tmp_path, segment_max_bytes=4096).recover()
+        replay = replay_and_close(tmp_path, segment_max_bytes=4096)
         assert replay.clean and replay.segments_scanned == len(segments)
         assert_records_equal(replay.records, records)
 
@@ -187,13 +196,13 @@ class TestAppendRecover:
         assert replay.max_seq == 5
         fill(fresh, plans, 3, start_seq=6)
         fresh.close()
-        final = OutcomeJournal(tmp_path).recover()
+        final = replay_and_close(tmp_path)
         assert [r.seq for r in final.records] == list(range(1, 9))
         # No spurious extra segment: appends continued the last one.
         assert final.segments_scanned == 1
 
     def test_empty_directory_replays_empty(self, tmp_path):
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert replay.clean and replay.records == () and replay.max_seq == 0
 
 
@@ -207,12 +216,12 @@ class TestDamage:
         journal.close()
         segment = journal.segments()[-1]
         torn_tail(segment, drop_bytes=37)  # rip into the final record
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert replay.torn_tail_bytes > 0
         assert replay.corrupt_segments == 0
         assert [r.seq for r in replay.records] == [r.seq for r in records[:-1]]
         # The tail is gone from disk too: a second replay is clean.
-        again = OutcomeJournal(tmp_path).recover()
+        again = replay_and_close(tmp_path)
         assert again.clean and again.max_seq == 5
 
     def test_torn_header_truncated(self, tmp_path, plans):
@@ -225,7 +234,7 @@ class TestDamage:
         # lands 3 bytes into its 8-byte frame header.
         payload_len = len(encode_record(make_record(3, plans[2], predicted=12.0)))
         torn_tail(segment, drop_bytes=payload_len + 5)
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert replay.torn_tail_bytes > 0
         assert replay.max_seq == 2
         assert segment.stat().st_size < size
@@ -238,7 +247,7 @@ class TestDamage:
         # Flip a byte inside the FIRST record's payload: framing stays
         # walkable, so only that record is lost.
         flip_byte(segment, len(SEGMENT_MAGIC) + 8 + 10)
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert replay.corrupt_records == 1
         assert replay.corrupt_segments == 0
         assert [r.seq for r in replay.records] == list(range(2, 9))
@@ -250,13 +259,13 @@ class TestDamage:
         assert len(segments) >= 3
         journal.close()
         flip_byte(segments[1], 0)  # middle segment's magic
-        replay = OutcomeJournal(tmp_path, segment_max_bytes=4096).recover()
+        replay = replay_and_close(tmp_path, segment_max_bytes=4096)
         assert replay.corrupt_segments == 1
         seqs = {r.seq for r in replay.records}
         assert seqs < {r.seq for r in records}  # strictly fewer
         # Quarantined, not deleted, and no longer scanned.
         assert any(p.suffix.startswith(".corrupt") for p in tmp_path.iterdir())
-        assert OutcomeJournal(tmp_path, segment_max_bytes=4096).recover().clean
+        assert replay_and_close(tmp_path, segment_max_bytes=4096).clean
 
     def test_broken_framing_mid_segment_quarantines(self, tmp_path, plans):
         journal = OutcomeJournal(tmp_path, segment_max_bytes=4096, fsync_every=1)
@@ -269,7 +278,7 @@ class TestDamage:
         with open(segments[0], "r+b") as handle:
             handle.seek(len(SEGMENT_MAGIC))
             handle.write((MAX_RECORD_BYTES + 1).to_bytes(4, "little"))
-        replay = OutcomeJournal(tmp_path, segment_max_bytes=4096).recover()
+        replay = replay_and_close(tmp_path, segment_max_bytes=4096)
         assert replay.corrupt_segments == 1
         assert replay.records  # later segments still replayed
         assert min(r.seq for r in replay.records) > 1
@@ -277,7 +286,7 @@ class TestDamage:
     def test_never_raises_on_arbitrary_garbage(self, tmp_path):
         (tmp_path / "segment-00000001.wal").write_bytes(os.urandom(512))
         (tmp_path / "segment-00000099.wal").write_bytes(b"")
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert replay.corrupt_segments == 2
         assert replay.records == ()
 
@@ -299,7 +308,7 @@ class TestSickDisk:
         # The handle reopens on the next append and the journal heals.
         assert journal.append(make_record(3, plans[2]))
         journal.close()
-        replay = OutcomeJournal(tmp_path).recover()
+        replay = replay_and_close(tmp_path)
         assert 1 in {r.seq for r in replay.records}
         assert 3 in {r.seq for r in replay.records}
 
@@ -331,6 +340,39 @@ class TestSickDisk:
 
 
 # ----------------------------------------------------------------------
+# Sync: an fsync only when something is not yet durable
+# ----------------------------------------------------------------------
+class TestSync:
+    def test_sync_right_after_a_batched_fsync_does_not_fsync(self, tmp_path, plans):
+        calls = []
+        journal = OutcomeJournal(tmp_path, fsync_every=4, fsync_fn=calls.append)
+        fill(journal, plans, 4)
+        assert len(calls) == 1  # the batched fsync
+        assert journal.sync()
+        assert len(calls) == 1
+        journal.close()
+        assert len(calls) == 1
+
+    def test_first_sync_after_recover_fsyncs_the_reopened_segment(
+        self, tmp_path, plans
+    ):
+        """The reopened segment may hold a dead process's unsynced tail
+        (or a fresh truncation): the first sync after a restart fsyncs
+        it, and the next one has nothing to do."""
+        journal = OutcomeJournal(tmp_path, fsync_every=64)
+        fill(journal, plans, 3)
+        journal._close_locked()  # the process dies before its batched fsync
+        calls = []
+        fresh = OutcomeJournal(tmp_path, fsync_fn=calls.append)
+        assert len(fresh.recover().records) == 3
+        assert fresh.sync()
+        assert len(calls) == 1
+        assert fresh.sync()
+        assert len(calls) == 1
+        fresh.close()
+
+
+# ----------------------------------------------------------------------
 # Retention
 # ----------------------------------------------------------------------
 class TestPrune:
@@ -347,7 +389,7 @@ class TestPrune:
         # min_seq below any later segment prunes nothing more.
         assert journal.prune(firsts[1]) == []
         journal.close()
-        replay = OutcomeJournal(tmp_path, segment_max_bytes=4096).recover()
+        replay = replay_and_close(tmp_path, segment_max_bytes=4096)
         assert min(r.seq for r in replay.records) == firsts[1]
         assert replay.max_seq == 30
         # The newest segment is never pruned, even with a huge cursor.

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import QPPNet, QPPNetConfig, Trainer
 from repro.core.trainer import fine_tune
@@ -34,7 +36,7 @@ from repro.serving import (
     ShadowSession,
 )
 from repro.serving.lifecycle import CANDIDATE_SUFFIX
-from repro.serving.service import OutcomeLog
+from repro.serving.service import OutcomeLog, OutcomeRecord
 from repro.testing import FaultySession, LatencyDrift, SimulatedCrash, kill_at_epoch
 from repro.workload import Workbench
 
@@ -201,6 +203,41 @@ class TestOutcomeRecording:
     def test_outcome_log_validation(self):
         with pytest.raises(ValueError):
             OutcomeLog(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        maxlen=st.integers(1, 12),
+        restored_gaps=st.lists(st.integers(1, 4), max_size=16),
+        appended=st.integers(0, 30),
+        cursors=st.lists(st.integers(-2, 100), min_size=1, max_size=8),
+    )
+    def test_since_matches_a_scan_of_every_record(
+        self, plans, maxlen, restored_gaps, appended, cursors
+    ):
+        """``since`` walks back from the newest record and stops at the
+        cursor; it must return what a scan of every retained record
+        returns, after eviction and after ``restore`` of records with
+        ``seq`` gaps."""
+        log = OutcomeLog(maxlen)
+        restored, seq = [], 0
+        for gap in restored_gaps:
+            seq += gap
+            restored.append(
+                OutcomeRecord(
+                    seq=seq, signature="s", predicted_ms=1.0, observed_ms=2.0,
+                    model="qpp", timestamp=0.0, plan=plans[0],
+                )
+            )
+        log.restore(restored)
+        for _ in range(appended):
+            log.record(
+                signature="s", predicted_ms=1.0, observed_ms=2.0, model="qpp", plan=plans[0]
+            )
+        retained = log.snapshot()
+        evicted = log.total - len(retained)
+        for cursor in cursors:
+            scan = [rec for rec in retained if rec.seq > cursor]
+            assert log.since(cursor) == (scan, max(0, evicted - max(cursor, 0)))
 
 
 # ----------------------------------------------------------------------

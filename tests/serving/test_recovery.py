@@ -446,6 +446,47 @@ class TestKillMidRetrain:
         recovered.journal.close()
         stack.journal.close()
 
+    def test_one_step_resumes_a_recovered_retrain_into_shadow(
+        self, tmp_path, model, plans, baseline_rel_error
+    ):
+        """A manager recovered in ``retraining`` resumes on its own: one
+        ``step()`` (the background loop's tick) finishes the killed
+        retrain from its checkpoints and deploys the shadow."""
+        state_dir = tmp_path / "state"
+        stack = make_stack(
+            state_dir,
+            model,
+            plans,
+            baseline_rel_error,
+            epoch_hook=kill_at_epoch(2),
+        )
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(64, seed=9))
+            stack.manager.poll()
+        reference_model, reference_history = fine_tune(
+            model,
+            stack.manager.training_samples(),
+            epochs=4,
+            checkpoint_dir=str(tmp_path / "reference"),
+        )
+        with pytest.raises(SimulatedCrash):
+            stack.manager.retrain()
+
+        recovered = ServiceRecovery.recover(state_dir)
+        manager = recovered.manager
+        assert manager.state == LifecycleState.RETRAINING
+        manager.step()
+        assert manager.state == LifecycleState.SHADOW
+        candidate = manager._candidate.model
+        for (key, ref), (_, got) in zip(
+            sorted(reference_model.state_dict().items()),
+            sorted(candidate.state_dict().items()),
+        ):
+            assert np.array_equal(ref, got), key
+        assert manager.last_history.train_loss == reference_history.train_loss
+        recovered.journal.close()
+        stack.journal.close()
+
     def test_repeated_plans_resume_bitwise(
         self, tmp_path, model, plans, baseline_rel_error
     ):
